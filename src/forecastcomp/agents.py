@@ -27,18 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from forecastcomp.mechanisms import (
-    Elf,
-    Ftrl,
-    MechanismConfig,
-    MultWeights,
-    PointPerRound,
-    ReportNoisyMax,
-    SimpleMax,
-    elf_winner_law,
-    noisy_max_win_prob,
-    selection_law,
-)
+from forecastcomp.mechanisms import Ftrl, MechanismConfig
 from forecastcomp.regularizers import NEG_ENTROPY, Regularizer
 from forecastcomp.scoring import as_probabilities
 
@@ -171,78 +160,21 @@ def _outcome_weights(beliefs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.prod(bits * beliefs + (1.0 - bits) * (1.0 - beliefs), axis=1)
 
 
-def _totals_for_outcomes(reports: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    # sum_t S(r_t, y_t) = sum_t (1 - r_t^2) + sum_t y_t (2 r_t - 1)
-    base = np.sum(1.0 - reports**2, axis=-1)
-    return base + bits @ (2.0 * reports - 1.0).T
-
-
-class _ExactUtility:
+def _exact_utility(ctx: StrategicContext, enum_budget: int = DEFAULT_ENUM_BUDGET) -> Callable[[np.ndarray], float]:
     """Expected win probability of agent 0 as a function of their report.
 
-    Enumerates all outcome vectors once and caches everything that does not
-    depend on the agent's own report.
+    Enumerates all outcome vectors once; the mechanism's utility kernel
+    caches everything that does not depend on the agent's own report.
     """
-
-    def __init__(self, ctx: StrategicContext, enum_budget: int = DEFAULT_ENUM_BUDGET):
-        if ctx.m > enum_budget:
-            raise ValueError(
-                f"m={ctx.m} exceeds the exact enumeration budget {enum_budget}; "
-                "pass mc_trials for a Monte Carlo estimate"
-            )
-        self.ctx = ctx
-        self.bits = _outcome_table(ctx.m)
-        self.weights = _outcome_weights(ctx.own_beliefs, self.bits)
-        self.opp_totals = _totals_for_outcomes(ctx.opponent_reports, self.bits)
-        mech = ctx.mechanism
-        if isinstance(mech, MultWeights):
-            z = mech.eta * self.opp_totals
-            zmax = z.max(axis=1)
-            self._log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
-        elif isinstance(mech, SimpleMax):
-            self._opp_max = self.opp_totals.max(axis=1)
-            self._opp_ties = np.sum(self.opp_totals == self._opp_max[:, None], axis=1)
-
-    def __call__(self, report: np.ndarray) -> float:
-        r = np.asarray(report, dtype=float)
-        own = _totals_for_outcomes(r, self.bits)
-        mech = self.ctx.mechanism
-        if isinstance(mech, MultWeights):
-            # law_0 = sigmoid(eta q_0 - log sum_j exp(eta q_j)), stable at any eta
-            u = 1.0 / (1.0 + np.exp(self._log_a - mech.eta * own))
-            return float(np.dot(self.weights, u))
-        if isinstance(mech, SimpleMax):
-            u = np.where(
-                own > self._opp_max,
-                1.0,
-                np.where(own == self._opp_max, 1.0 / (1.0 + self._opp_ties), 0.0),
-            )
-            return float(np.dot(self.weights, u))
-        if isinstance(mech, ReportNoisyMax):
-            probs = [
-                noisy_max_win_prob(np.concatenate([[own[k]], self.opp_totals[k]]), mech.b, 0)
-                for k in range(self.bits.shape[0])
-            ]
-            return float(np.dot(self.weights, probs))
-        if isinstance(mech, Ftrl):
-            probs = [
-                mech.regularizer.conjugate_grad(
-                    mech.eta * np.concatenate([[own[k]], self.opp_totals[k]])
-                )[0]
-                for k in range(self.bits.shape[0])
-            ]
-            return float(np.dot(self.weights, probs))
-        if isinstance(mech, (Elf, PointPerRound)):
-            stacked = np.vstack([r, self.ctx.opponent_reports])
-            probs = []
-            for k in range(self.bits.shape[0]):
-                y = self.bits[k]
-                if isinstance(mech, Elf):
-                    probs.append(elf_winner_law(stacked, y)[0])
-                else:
-                    probs.append(selection_law(mech, stacked, y)[0])
-            return float(np.dot(self.weights, probs))
-        raise TypeError(f"unsupported mechanism {mech!r}")
+    if ctx.m > enum_budget:
+        raise ValueError(
+            f"m={ctx.m} exceeds the exact enumeration budget {enum_budget}; "
+            "pass mc_trials for a Monte Carlo estimate"
+        )
+    bits = _outcome_table(ctx.m)
+    weights = _outcome_weights(ctx.own_beliefs, bits)
+    win_probs = ctx.mechanism.utility_kernel(ctx.opponent_reports, bits)
+    return lambda report: float(np.dot(weights, win_probs(np.asarray(report, dtype=float))))
 
 
 def expected_win_prob(
@@ -271,7 +203,7 @@ def expected_win_prob(
     if r.size > 0:
         as_probabilities(r, "candidate")
     if ctx.m <= enum_budget:
-        return _ExactUtility(ctx, enum_budget)(r)
+        return _exact_utility(ctx, enum_budget)(r)
     if mc_trials is None:
         raise ValueError(
             f"m={ctx.m} exceeds the enumeration budget {enum_budget} and no "
@@ -282,7 +214,7 @@ def expected_win_prob(
     total = 0.0
     for _ in range(mc_trials):
         y = (rng.random(ctx.m) < ctx.own_beliefs).astype(float)
-        total += float(selection_law(ctx.mechanism, stacked, y)[0])
+        total += float(ctx.mechanism.law(stacked, y)[0])
     return total / mc_trials
 
 
@@ -440,10 +372,6 @@ class BestResponseResult:
     certified: bool
 
 
-def _is_unimodal_per_coordinate(mech: MechanismConfig) -> bool:
-    return isinstance(mech, (MultWeights, Ftrl, ReportNoisyMax))
-
-
 def best_response_full(
     ctx: StrategicContext,
     starts: int = 5,
@@ -463,9 +391,9 @@ def best_response_full(
 
     The solver multi-starts (beliefs plus random starts) and keeps the best.
     """
-    utility = _ExactUtility(ctx, enum_budget)
+    utility = _exact_utility(ctx, enum_budget)
     m = ctx.m
-    certified = _is_unimodal_per_coordinate(ctx.mechanism)
+    certified = ctx.mechanism.unimodal
     rng = np.random.default_rng(seed)
     start_points = [ctx.own_beliefs.copy()]
     for _ in range(max(0, starts - 1)):
@@ -491,7 +419,9 @@ def best_response_full(
                     vals = np.array([f(float(v)) for v in grid])
                     k = int(np.argmax(vals))
                     x, fx = float(grid[k]), float(vals[k])
-                if fx >= u:
+                # Only a strict gain moves the coordinate: on a flat utility the
+                # line search's answer drifts between cycles and never settles.
+                if fx > u:
                     r[t] = x
                     u = fx
                     moved = max(moved, abs(x - old))
@@ -527,11 +457,9 @@ def dominance_clamp_check(ctx: StrategicContext, r_hat, gamma: float) -> ClampCh
     p_t +/- gamma; the unchanged report is returned as "not clamped" (None).
     Only regularized-leader mechanisms carry the dominance guarantee.
     """
-    if not isinstance(ctx.mechanism, (MultWeights, Ftrl)):
+    if not isinstance(ctx.mechanism, Ftrl):
         raise ValueError("the clamp dominance construction applies to regularized leaders only")
-    eta = ctx.mechanism.eta
-    reg = NEG_ENTROPY if isinstance(ctx.mechanism, MultWeights) else ctx.mechanism.regularizer
-    _require_eta_in_range(eta, reg)
+    _require_eta_in_range(ctx.mechanism.eta, ctx.mechanism.regularizer)
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     r = as_probabilities(r_hat, "r_hat")
@@ -539,7 +467,7 @@ def dominance_clamp_check(ctx: StrategicContext, r_hat, gamma: float) -> ClampCh
         raise ValueError(f"r_hat shape {r.shape} does not match m={ctx.m}")
     p = ctx.own_beliefs
     clamped = np.clip(r, p - gamma, p + gamma)
-    utility = _ExactUtility(ctx)
+    utility = _exact_utility(ctx)
     u_orig = utility(r)
     if not np.any(np.abs(r - p) > gamma):
         return ClampCheck(clamped=None, utility_original=u_orig, utility_clamped=u_orig)
@@ -576,27 +504,6 @@ class TruthfulnessGapReport:
             "gaps": self.gaps,
             "notes": self.notes,
         }
-
-
-def _theoretical_gamma(mech: MechanismConfig) -> tuple[float | None, dict]:
-    if isinstance(mech, MultWeights):
-        beta = NEG_ENTROPY.declared.beta
-        # Two learning-rate ceilings circulate for this guarantee; record
-        # both the strict 1/4 and the curvature-level min(alpha/2, 1/beta).
-        return (beta + 1.0) * mech.eta, {
-            "eta": mech.eta,
-            "eta_threshold_strict": 0.25,
-            "eta_threshold_curvature": min(
-                NEG_ENTROPY.declared.alpha / 2.0, 1.0 / NEG_ENTROPY.declared.beta
-            ),
-        }
-    if isinstance(mech, Ftrl):
-        if mech.regularizer.declared is None:
-            return None, {}
-        return (mech.regularizer.declared.beta + 1.0) * mech.eta, {"eta": mech.eta}
-    if isinstance(mech, ReportNoisyMax):
-        return 4.0 / mech.b, {"b": mech.b}
-    return None, {}
 
 
 def truthfulness_gap_sweep(
@@ -647,7 +554,7 @@ def truthfulness_gap_sweep(
                 "best_response": [float(v) for v in result.report],
                 "gap": gap,
             }
-    gamma_theory, notes = _theoretical_gamma(mechanism)
+    gamma_theory, notes = mechanism.truthfulness_band()
     return TruthfulnessGapReport(
         mechanism=type(mechanism).__name__,
         gamma_empirical=worst,
@@ -688,22 +595,11 @@ def round_local_best_response(
     s0 = 1.0 - stacked**2
     expected = p * s1 + (1.0 - p) * s0
     totals = expected.sum(axis=1)
-    q0 = totals[:, None] - expected + s0
-    q1 = totals[:, None] - expected + s1
-
-    def own_curvature(q: np.ndarray) -> np.ndarray:
-        z = eta * q
-        z = z - z.max(axis=0)
-        e = np.exp(z)
-        pi0 = e[0] / e.sum(axis=0)
-        return pi0 * (1.0 - pi0)
-
-    if regularizer.name == "negative_entropy":
-        k0 = own_curvature(q0)
-        k1 = own_curvature(q1)
-    else:
-        k0 = np.array([regularizer.conjugate_partial2(eta * q0[:, t], 0) for t in range(p.size)])
-        k1 = np.array([regularizer.conjugate_partial2(eta * q1[:, t], 0) for t in range(p.size)])
+    # continuation totals of every forecaster, one row per round
+    q0 = (totals[:, None] - expected + s0).T
+    q1 = (totals[:, None] - expected + s1).T
+    k0 = regularizer.conjugate_partial2(eta * q0, 0)
+    k1 = regularizer.conjugate_partial2(eta * q1, 0)
     return p * k1 / ((1.0 - p) * k0 + p * k1)
 
 
@@ -729,13 +625,9 @@ def strategy_report_row(
         if opponent_reports is None or mechanism is None:
             raise ValueError("best-response strategies need opponent reports and a mechanism")
         if strategy.mode == "round_local":
-            if isinstance(mechanism, MultWeights):
-                return round_local_best_response(p, opponent_reports, mechanism.eta)
-            if isinstance(mechanism, Ftrl):
-                return round_local_best_response(
-                    p, opponent_reports, mechanism.eta, mechanism.regularizer
-                )
-            raise ValueError("round_local best response needs a regularized-leader mechanism")
+            if not isinstance(mechanism, Ftrl):
+                raise ValueError("round_local best response needs a regularized-leader mechanism")
+            return round_local_best_response(p, opponent_reports, mechanism.eta, mechanism.regularizer)
         ctx = StrategicContext(np.asarray(opponent_reports, dtype=float), p, mechanism)
         return best_response_full(ctx, starts=strategy.starts, seed=seed).report
     raise TypeError(f"unknown strategy {strategy!r}")

@@ -25,7 +25,7 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -37,13 +37,14 @@ from forecastcomp.agents import (
     BestResponse,
     Extremizer,
     Truthful,
+    build_reports,
     truthfulness_gap_sweep,
 )
 from forecastcomp.experiments import (
     CompetitionSetting,
     MyopicBestResponse,
     OnlinePreference,
-    _run_trials,
+    _draw_winners,
     derive_seed,
     estimate_event_complexity,
     estimate_success_prob,
@@ -54,7 +55,6 @@ from forecastcomp.experiments import (
     perfect_vs_terrible_setting,
     random_setting,
     regret_bound,
-    run_competition_trial,
     theoretical_bounds,
     wilson_interval,
 )
@@ -262,9 +262,11 @@ def _validate_params(command: str, params, errs: list[str]) -> None:
     if "regularizer" in params and params["regularizer"] not in ("negative_entropy", "l2"):
         errs.append(f"params.regularizer must be negative_entropy or l2, got {params['regularizer']!r}")
     if "variants" in params:
-        bad = [v for v in params["variants"] if v not in _BOUND_VARIANTS]
-        if bad:
-            errs.append(f"unknown bound variants: {bad}")
+        variants = params["variants"]
+        if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+            errs.append(f"params.variants must be a list of strings, got {variants!r}")
+        elif any(v not in _BOUND_VARIANTS for v in variants):
+            errs.append(f"unknown bound variants: {[v for v in variants if v not in _BOUND_VARIANTS]}")
     for key in ("ns", "epsilons"):
         if key in params and (not isinstance(params[key], list) or not params[key]):
             errs.append(f"params.{key} must be a nonempty list")
@@ -309,14 +311,21 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
     Raises:
         ConfigError: carrying every violation found, not just the first.
     """
-    errs: list[str] = []
+    return _validated(_decode(text), command)
+
+
+def _decode(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["config must be a JSON object"])
+    return data
 
+
+def _validated(data: dict, command: str | None) -> ExperimentConfig:
+    errs: list[str] = []
     unknown = set(data) - _TOP_KEYS
     if unknown:
         errs.append(f"unknown top-level keys: {sorted(unknown)}")
@@ -485,19 +494,18 @@ def _cmd_run(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], d
     mechanism = _build_mechanism(cfg.mechanism, setting.n)
     strategies = _build_strategies(cfg.params, setting.n)
     epsilon = float(cfg.params["epsilon"])
-    trials = cfg.trials or 100
+    trials = cfg.trials if cfg.trials is not None else 100
     accuracies = setting.accuracies()
-
-    def one_trial(k: int) -> list:
-        result = run_competition_trial(setting, strategies, mechanism, derive_seed(seed, 5, k))
-        return [
-            k,
-            result.winner,
-            float(accuracies[result.winner]),
-            result.winner_is_eps_optimal(epsilon),
-        ]
-
-    rows = _run_trials(one_trial, trials, cfg.threads)
+    good = setting.epsilon_optimal(epsilon)
+    # Every strategy the CLI offers is deterministic, so one report matrix
+    # serves all trials.  Trial k keeps the seed layout of
+    # run_competition_trial(seed=derive_seed(seed, 5, k)).
+    reports = build_reports(strategies, setting.beliefs, mechanism)
+    trial_seeds = [derive_seed(seed, 5, k) for k in range(trials)]
+    draws = _draw_winners(
+        reports, setting.theta, mechanism, [(derive_seed(s, 1), derive_seed(s, 2)) for s in trial_seeds], cfg.threads
+    )
+    rows = [[k, d.winner, float(accuracies[d.winner]), d.winner in good] for k, d in enumerate(draws)]
     successes = sum(1 for row in rows if row[3])
     lower, upper, _ = wilson_interval(successes, trials)
     summary = {
@@ -518,7 +526,7 @@ def _cmd_estimate_complexity(cfg: ExperimentConfig, seed: int) -> tuple[list[str
     strategies = _build_strategies(cfg.params, n)
     epsilon = float(cfg.params["epsilon"])
     delta = float(cfg.params["delta"])
-    trials = cfg.trials or 200
+    trials = cfg.trials if cfg.trials is not None else 200
     estimate = estimate_event_complexity(
         mechanism,
         lambda m: _build_setting(spec, seed, m_override=m),
@@ -568,7 +576,7 @@ def _cmd_online_regret(cfg: ExperimentConfig, seed: int) -> tuple[list[str], lis
     T = int(cfg.params["T"])
     eta = cfg.params.get("eta", "auto")
     eta = math.sqrt(math.log(n) / (10.0 * T)) if eta == "auto" else float(eta)
-    trials = cfg.trials or 20
+    trials = cfg.trials if cfg.trials is not None else 20
     kind = cfg.params.get("strategies", "truthful")
     if kind == "truthful":
         strategies = [Truthful()] * n
@@ -607,7 +615,7 @@ def _cmd_lower_bound_demo(cfg: ExperimentConfig, seed: int) -> tuple[list[str], 
     m = math.ceil(n / 4.0 * math.log(n))
     setting = perfect_vs_terrible_setting(n, m)
     strategies = [Truthful()] * n
-    trials = cfg.trials or 2000
+    trials = cfg.trials if cfg.trials is not None else 2000
     epsilon = 0.5
     rows = []
     rates = {}
@@ -731,23 +739,14 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 1
+    # Flags override the config's keys and are validated with them.
+    flags = {key: getattr(args, key) for key in ("seed", "trials", "threads", "out")}
+    flags = {key: value for key, value in flags.items() if value is not None}
     try:
-        cfg = parse_config(text, command=args.command)
+        cfg = _validated({**_decode(text), **flags}, args.command)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "violations": exc.violations}), file=sys.stderr)
         return 2
-
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        cfg = ExperimentConfig(**{**asdict(cfg), **overrides})
 
     try:
         result = dispatch(cfg)

@@ -27,8 +27,8 @@ from forecastcomp.agents import (
     extremize,
     golden_section_max,
 )
-from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, select
-from forecastcomp.regularizers import NEG_ENTROPY, Regularizer
+from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed, select
+from forecastcomp.regularizers import Regularizer, regularizer_by_name
 from forecastcomp.scoring import accuracy, as_probabilities, epsilon_optimal_set
 
 __all__ = [
@@ -61,11 +61,6 @@ __all__ = [
 ]
 
 
-def derive_seed(master: int, *key: int) -> int:
-    """Stable per-trial seed derived from a master seed and an index path."""
-    return int(np.random.SeedSequence(entropy=master, spawn_key=key).generate_state(1)[0])
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float, float]:
     """Wilson 95% score interval: (lower, upper, halfwidth)."""
     if trials < 1:
@@ -75,13 +70,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     center = (phat + z**2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z**2 / (4.0 * trials**2)) / denom
     return center - half, center + half, half
-
-
-def _run_trials(trial_fn: Callable[[int], object], trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [trial_fn(k) for k in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(trial_fn, range(trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +191,26 @@ class TrialResult:
         return self.winner in epsilon_optimal_set(self.accuracies, epsilon)
 
 
-def _sample_outcomes(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return (rng.random(theta.size) < theta).astype(float)
+def _draw_winners(
+    reports: np.ndarray,
+    theta: np.ndarray,
+    mechanism: MechanismConfig,
+    seeds: Sequence[tuple[int, int]],
+    threads: int = 1,
+) -> list[WinnerDraw]:
+    """The trial engine: trial k samples its outcomes from ``theta`` with
+    seed ``seeds[k][0]`` and runs the mechanism on (reports, outcomes) with
+    seed ``seeds[k][1]``.  Results do not depend on ``threads``."""
+
+    def one_trial(k: int) -> WinnerDraw:
+        outcome_seed, select_seed = seeds[k]
+        y = (np.random.default_rng(outcome_seed).random(theta.size) < theta).astype(float)
+        return select(mechanism, reports, y, seed=select_seed)
+
+    if threads <= 1:
+        return [one_trial(k) for k in range(len(seeds))]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one_trial, range(len(seeds))))
 
 
 def run_competition_trial(
@@ -215,8 +221,7 @@ def run_competition_trial(
 ) -> TrialResult:
     """Build reports from strategies, sample outcomes, and run the mechanism."""
     reports = build_reports(strategies, setting.beliefs, mechanism, seed=derive_seed(seed, 0))
-    y = _sample_outcomes(setting.theta, np.random.default_rng(derive_seed(seed, 1)))
-    draw = select(mechanism, reports, y, seed=derive_seed(seed, 2))
+    [draw] = _draw_winners(reports, setting.theta, mechanism, [(derive_seed(seed, 1), derive_seed(seed, 2))])
     return TrialResult(winner=draw.winner, draw=draw, accuracies=setting.accuracies())
 
 
@@ -252,14 +257,8 @@ def estimate_success_prob(
         raise ValueError(f"trials must be >= 1, got {trials}")
     reports = build_reports(strategies, setting.beliefs, mechanism, seed=derive_seed(seed, 0))
     good = setting.epsilon_optimal(epsilon)
-
-    def one_trial(k: int) -> int:
-        rng = np.random.default_rng(derive_seed(seed, 1, k))
-        y = _sample_outcomes(setting.theta, rng)
-        draw = select(mechanism, reports, y, seed=derive_seed(seed, 2, k))
-        return 1 if draw.winner in good else 0
-
-    successes = sum(_run_trials(one_trial, trials, threads))
+    seeds = [(derive_seed(seed, 1, k), derive_seed(seed, 2, k)) for k in range(trials)]
+    successes = sum(draw.winner in good for draw in _draw_winners(reports, setting.theta, mechanism, seeds, threads))
     lower, upper, half = wilson_interval(successes, trials)
     return SuccessEstimate(
         successes=successes,
@@ -563,16 +562,16 @@ class RegretTrace:
         )
         return best - mech
 
-    def replay_pi(self, t: int, regularizer: Regularizer = NEG_ENTROPY) -> np.ndarray:
+    def replay_pi(self, t: int) -> np.ndarray:
         """Recompute pi^t from the stored history before t (causality audit).
 
-        Accumulates round by round in the same order as the live run, so the
-        replay is bit-for-bit identical.
+        Accumulates round by round in the same order as the live run, under
+        the run's own regularizer, so the replay is bit-for-bit identical.
         """
         totals = np.zeros(self.beliefs.shape[0])
         for s in range(t):
             totals += 1.0 - (self.outcomes[s] - self.reports[:, s]) ** 2
-        return regularizer.conjugate_grad(self.eta * totals)
+        return regularizer_by_name(self.regularizer_name).conjugate_grad(self.eta * totals)
 
 
 def online_run(
@@ -624,27 +623,16 @@ def online_run(
             return float(extremize(p[i, s : s + 1], strat.pull)[0])
         return float(p[i, s])
 
-    def entropy_rows(z: np.ndarray) -> np.ndarray:
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def grad_rows(totals_rows: np.ndarray) -> np.ndarray:
-        if regularizer.name == "negative_entropy":
-            return entropy_rows(eta * totals_rows)
-        return np.vstack([regularizer.conjugate_grad(eta * row) for row in totals_rows])
-
     def myopic_respond(i: int, t: int, phase1: np.ndarray, totals: np.ndarray) -> float:
         p_it = float(p[i, t])
 
         def next_selection_prob(r: float) -> float:
             rt = phase1.copy()
             rt[i] = r
-            q1 = totals + (1.0 - (1.0 - rt) ** 2)
-            q0 = totals + (1.0 - rt**2)
-            return p_it * float(regularizer.conjugate_grad(eta * q1)[i]) + (
-                1.0 - p_it
-            ) * float(regularizer.conjugate_grad(eta * q0)[i])
+            # next round's totals if this round's outcome is 1, then if it is 0
+            q = totals + np.stack([1.0 - (1.0 - rt) ** 2, 1.0 - rt**2])
+            pi1, pi0 = regularizer.conjugate_grad(eta * q)[:, i]
+            return p_it * float(pi1) + (1.0 - p_it) * float(pi0)
 
         r_star, _ = golden_section_max(next_selection_prob, 0.0, 1.0, xtol=1e-8)
         return r_star
@@ -674,7 +662,7 @@ def online_run(
                 y_k = paths[:, k : k + 1]
                 tot = tot + 1.0 - (y_k - local[None, :, k]) ** 2
                 if coefs[k] > 0.0:
-                    value += coefs[k] * grad_rows(tot)[:, i]
+                    value += coefs[k] * regularizer.conjugate_grad(eta * tot)[:, i]
             return float(np.dot(weights, value))
 
         r_star, _ = golden_section_max(utility, 0.0, 1.0, xtol=1e-8)

@@ -7,27 +7,46 @@ return a :class:`WinnerDraw` carrying the seed and the number of uniform
 draws consumed, so every selection replays bit-for-bit.  Parallel callers
 must pass independent seeds; nothing here touches global RNG state.
 
+Every mechanism is one frozen dataclass with the same interface:
+
+- ``law(reports, outcomes, budget)``: the exact selection law given (R, y);
+- ``sample(reports, outcomes, seed)``: a sampled :class:`WinnerDraw`;
+- ``utility_kernel(opponent_reports, bits)``: precomputes everything that
+  does not depend on row 0's report and returns a function mapping that
+  report to P(row 0 wins) under each of the 2^m outcome rows of ``bits``;
+- ``unimodal``: whether the expected win probability is unimodal in each
+  coordinate of one's own report (the best-response solver's certificate);
+- ``truthfulness_band()``: the approximate-truthfulness radius, or None, and
+  notes on its provenance.
+
 Mechanisms:
 
 - Simple Max: argmax of total quadratic score, uniform tie-breaking.
 - Event lotteries (ELF): one point per event awarded by a wagering-style
   lottery, winner is the point leader.
 - Generalized point-per-round: same tally structure with any bounded proper
-  scoring rule whose range fits in an interval of length 1/n.
+  scoring rule whose range fits in an interval of length 1/n.  ELF is the
+  point-per-round lottery with the quadratic rule; both share one per-event
+  point table, which feeds the tally sampler and the exact tally DP.
 - FTRL: selection distribution equals the conjugate gradient of a strictly
   convex regularizer at the scaled score totals.
-- Multiplicative Weights: FTRL with negative entropy; the distribution is a
-  softmax of the scaled totals, implemented here directly as a closed form.
+- Multiplicative Weights: FTRL with negative entropy (a subclass of
+  :class:`Ftrl` with the regularizer fixed); the distribution is a softmax of
+  the scaled totals.
 - Report Noisy Max: add independent Laplace noise to the totals and take
   the argmax.
+
+The module-level functions (``select``, ``selection_law``,
+``simple_max_select``, ``elf_select``, ...) are thin delegates kept for
+callers that name a mechanism by function.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -44,6 +63,7 @@ __all__ = [
     "MultWeights",
     "ReportNoisyMax",
     "MechanismConfig",
+    "derive_seed",
     "simple_max_select",
     "elf_point_prob",
     "elf_sample_points",
@@ -67,6 +87,11 @@ __all__ = [
 
 DISTRIBUTION_TOL = 1e-10
 DEFAULT_ENUMERATION_BUDGET = 2**20
+
+
+def derive_seed(master: int, *key: int) -> int:
+    """Stable per-trial seed derived from a master seed and an index path."""
+    return int(np.random.SeedSequence(entropy=master, spawn_key=key).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -110,88 +135,6 @@ class WinnerDraw:
 
 
 # ---------------------------------------------------------------------------
-# Mechanism configurations
-# ---------------------------------------------------------------------------
-
-def _warn_if_eta_outside_truthful_range(eta: float, reg: Regularizer) -> None:
-    if reg.declared is None:
-        return
-    limit = min(reg.declared.alpha / 2.0, 1.0 / reg.declared.beta)
-    if eta >= limit:
-        warnings.warn(
-            f"eta={eta} is outside the approximate-truthfulness range "
-            f"eta < min(alpha/2, 1/beta) = {limit} for {reg.name}",
-            stacklevel=3,
-        )
-
-
-@dataclass(frozen=True)
-class SimpleMax:
-    """Select the forecaster with the highest total quadratic score."""
-
-
-@dataclass(frozen=True)
-class Elf:
-    """One point per event via the wagering lottery; winner is the leader."""
-
-
-@dataclass(frozen=True)
-class PointPerRound:
-    """Point-per-event mechanism driven by a bounded proper scoring rule.
-
-    ``g(r, y)`` must take values in an interval whose length is at most 1/n;
-    this is validated by sampling at call time, and any per-event probability
-    escaping [0, 1] is a hard error with a witness.
-    """
-
-    g: Callable[[float, int], float]
-    range_length: float
-
-    def __post_init__(self) -> None:
-        if not self.range_length > 0.0:
-            raise ValueError(f"range_length must be positive, got {self.range_length}")
-
-
-@dataclass(frozen=True)
-class Ftrl:
-    """Distribution-valued selection: gradient of the conjugate at eta * totals."""
-
-    regularizer: Regularizer
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        _warn_if_eta_outside_truthful_range(self.eta, self.regularizer)
-
-
-@dataclass(frozen=True)
-class MultWeights:
-    """Softmax of eta-scaled total quadratic scores."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        _warn_if_eta_outside_truthful_range(self.eta, NEG_ENTROPY)
-
-
-@dataclass(frozen=True)
-class ReportNoisyMax:
-    """Argmax of Laplace-perturbed totals; the scale b must be at least 4."""
-
-    b: float
-
-    def __post_init__(self) -> None:
-        if not self.b >= 4.0:
-            raise ValueError(f"ReportNoisyMax requires b >= 4, got {self.b}")
-
-
-MechanismConfig = Union[SimpleMax, Elf, PointPerRound, Ftrl, MultWeights, ReportNoisyMax]
-
-
-# ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
 
@@ -215,6 +158,13 @@ def score_totals(reports, outcomes) -> np.ndarray:
     return score_matrix(r, y).sum(axis=1)
 
 
+def _totals_for_outcomes(reports: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    # sum_t S(r_t, y_t) = sum_t (1 - r_t^2) + sum_t y_t (2 r_t - 1), for every
+    # outcome row of ``bits`` at once
+    base = np.sum(1.0 - reports**2, axis=-1)
+    return base + bits @ (2.0 * reports - 1.0).T
+
+
 def _categorical_draw(probs: np.ndarray, u: float) -> int:
     cum = np.cumsum(probs)
     return int(min(np.searchsorted(cum, u * cum[-1], side="right"), probs.size - 1))
@@ -228,72 +178,140 @@ def sample_winner(distribution, seed: int) -> WinnerDraw:
     return WinnerDraw(winner=winner, distribution=dist, rng_trace=RngTrace(seed, 1))
 
 
-# ---------------------------------------------------------------------------
-# Simple Max
-# ---------------------------------------------------------------------------
-
 def _argmax_tie_law(totals: np.ndarray) -> np.ndarray:
     ties = totals == totals.max()
     return ties / ties.sum()
 
 
-def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
-    """Pick the forecaster with the highest cumulative quadratic score.
-
-    Ties are broken uniformly at random; the returned distribution is the
-    exact winner law (point mass, or uniform over the argmax set).
-    """
-    totals = score_totals(reports, outcomes)
-    law = _argmax_tie_law(totals)
+def _argmax_draw(values: np.ndarray, seed: int, draws: int, rng: np.random.Generator | None = None) -> WinnerDraw:
+    """Winner of argmax(values) with uniform tie-breaking: one more draw on a tie."""
+    law = _argmax_tie_law(values)
     ties = np.flatnonzero(law)
     if ties.size == 1:
-        return WinnerDraw(int(ties[0]), law, RngTrace(seed, 0))
-    rng = np.random.default_rng(seed)
+        return WinnerDraw(int(ties[0]), law, RngTrace(seed, draws))
+    if rng is None:
+        rng = np.random.default_rng(seed)
     winner = int(ties[_categorical_draw(np.ones(ties.size), float(rng.random()))])
-    return WinnerDraw(winner, law, RngTrace(seed, 1))
+    return WinnerDraw(winner, law, RngTrace(seed, draws + 1))
+
+
+# ---------------------------------------------------------------------------
+# The mechanism interface
+# ---------------------------------------------------------------------------
+
+class _Mechanism:
+    """What every mechanism provides; see the module docstring."""
+
+    unimodal: ClassVar[bool] = False
+
+    def law(self, reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+        raise NotImplementedError
+
+    def sample(self, reports, outcomes, seed: int) -> WinnerDraw:
+        raise NotImplementedError
+
+    def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        raise NotImplementedError
+
+    def truthfulness_band(self) -> tuple[float | None, dict]:
+        return None, {}
+
+
+class _TotalsMechanism(_Mechanism):
+    """A mechanism whose law depends on the reports only through score totals."""
+
+    def utility_kernel(self, opponent_reports, bits):
+        own_win = self._own_win_prob(_totals_for_outcomes(opponent_reports, bits))
+        return lambda report: own_win(_totals_for_outcomes(report, bits))
+
+    def _own_win_prob(self, opp_totals: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Map row 0's totals (one per outcome row) to its win probabilities,
+        against the fixed (outcomes, n-1) opponent totals."""
+        raise NotImplementedError
+
+
+class _PointLottery(_Mechanism):
+    """One point per event by lottery; the point leader wins, ties uniform.
+
+    Subclasses give ``point_probs(reports, outcomes)``, the (m, n) table of
+    per-event point probabilities.
+    """
+
+    def point_probs(self, reports, outcomes) -> np.ndarray:
+        raise NotImplementedError
+
+    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
+        return _tally_dp_law(self.point_probs(reports, outcomes), budget)
+
+    def sample(self, reports, outcomes, seed):
+        """One uniform draw per event plus one more on a tie.  The returned
+        distribution is the tie-break law over the realized point argmax."""
+        probs = self.point_probs(reports, outcomes)
+        rng = np.random.default_rng(seed)
+        points, draws = _tally_points(probs, rng)
+        return _argmax_draw(points.astype(float), seed, draws, rng)
+
+    def utility_kernel(self, opponent_reports, bits):
+        def win_probs(report: np.ndarray) -> np.ndarray:
+            stacked = np.vstack([report, opponent_reports])
+            return np.array([self.law(stacked, y)[0] for y in bits])
+
+        return win_probs
+
+
+# ---------------------------------------------------------------------------
+# Simple Max
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SimpleMax(_TotalsMechanism):
+    """Select the forecaster with the highest total quadratic score."""
+
+    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
+        return _argmax_tie_law(score_totals(reports, outcomes))
+
+    def sample(self, reports, outcomes, seed):
+        """Ties are broken uniformly at random; the returned distribution is
+        the exact winner law (point mass, or uniform over the argmax set)."""
+        return _argmax_draw(score_totals(reports, outcomes), seed, 0)
+
+    def _own_win_prob(self, opp_totals):
+        best = opp_totals.max(axis=1)
+        ties = np.sum(opp_totals == best[:, None], axis=1)
+        return lambda own: np.where(own > best, 1.0, np.where(own == best, 1.0 / (1.0 + ties), 0.0))
+
+
+def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
+    """Pick the forecaster with the highest cumulative quadratic score."""
+    return SimpleMax().sample(reports, outcomes, seed)
 
 
 # ---------------------------------------------------------------------------
 # Event-lottery mechanisms
 # ---------------------------------------------------------------------------
 
-def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
-    """Lottery probabilities for the point on event ``t``.
-
-    Forecaster i receives the point with probability
-    1/n + (1/n) * (S(r_it, y_t) - mean of the other forecasters' scores).
-    Entries lie in [0, 2/n] and sum to 1.
-    """
+def _lottery_reports(reports) -> np.ndarray:
     r = _validate_reports(reports)
-    n = r.shape[0]
-    if n < 2:
-        raise ValueError(f"event lotteries need n >= 2 forecasters, got {n}")
-    if y_t not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {y_t}")
-    s = 1.0 - (y_t - r[:, t]) ** 2
-    total = s.sum()
-    mean_others = (total - s) / (n - 1)
-    return (1.0 + s - mean_others) / n
+    if r.shape[0] < 2:
+        raise ValueError(f"event lotteries need n >= 2 forecasters, got {r.shape[0]}")
+    return r
 
 
-def point_per_round_point_prob(reports, y_t: int, t: int, g: Callable[[float, int], float]) -> np.ndarray:
-    """Per-event point probabilities for a generalized scoring rule ``g``.
+def _rule_point_probs(g: Callable[[float, int], float], r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(m, n) table f_ti = 1/n + g(r_it, y_t) - mean over j != i of g(r_jt, y_t).
 
-    f_it = 1/n + g(r_it, y_t) - mean over j != i of g(r_jt, y_t).  A result
-    outside [0, 1] is a hard error carrying the offending entry.
+    A result outside [0, 1] is a hard error carrying the offending entry.
     """
-    r = _validate_reports(reports)
-    n = r.shape[0]
-    if n < 2:
-        raise ValueError(f"event lotteries need n >= 2 forecasters, got {n}")
-    gs = np.array([g(float(r[i, t]), y_t) for i in range(n)])
-    mean_others = (gs.sum() - gs) / (n - 1)
-    f = 1.0 / n + gs - mean_others
+    n, m = r.shape
+    if y.shape[0] != m:
+        raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
+    gs = np.array([[g(float(r[i, t]), int(y[t])) for i in range(n)] for t in range(m)])
+    f = 1.0 / n + gs - (gs.sum(axis=1, keepdims=True) - gs) / (n - 1)
     if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
-        bad = int(np.argmax(np.abs(f - 0.5)))
+        t, bad = np.unravel_index(int(np.argmax(np.abs(f - 0.5))), f.shape)
         raise ValueError(
-            f"scoring rule g violates its range budget: event {t}, outcome {y_t}, "
-            f"forecaster {bad} gets point probability {f[bad]}"
+            f"scoring rule g violates its range budget: event {t}, outcome {int(y[t])}, "
+            f"forecaster {bad} gets point probability {f[t, bad]}"
         )
     return np.clip(f, 0.0, 1.0)
 
@@ -312,72 +330,48 @@ def _validate_g_range(g: Callable[[float, int], float], n: int, declared_length:
         )
 
 
+@dataclass(frozen=True)
+class Elf(_PointLottery):
+    """One point per event via the wagering lottery; winner is the leader."""
+
+    def point_probs(self, reports, outcomes):
+        """Forecaster i receives the point on event t with probability
+        1/n + (1/n) * (S(r_it, y_t) - mean of the other forecasters' scores);
+        entries lie in [0, 2/n] and each row sums to 1."""
+        r = _lottery_reports(reports)
+        s = score_matrix(r, outcomes)
+        mean_others = (s.sum(axis=0) - s) / (r.shape[0] - 1)
+        return ((1.0 + s - mean_others) / r.shape[0]).T
+
+
+@dataclass(frozen=True)
+class PointPerRound(_PointLottery):
+    """Point-per-event mechanism driven by a bounded proper scoring rule.
+
+    ``g(r, y)`` must take values in an interval whose length is at most 1/n;
+    this is validated by sampling at call time, and any per-event probability
+    escaping [0, 1] is a hard error with a witness.
+    """
+
+    g: Callable[[float, int], float]
+    range_length: float
+
+    def __post_init__(self) -> None:
+        if not self.range_length > 0.0:
+            raise ValueError(f"range_length must be positive, got {self.range_length}")
+
+    def point_probs(self, reports, outcomes):
+        r = _lottery_reports(reports)
+        _validate_g_range(self.g, r.shape[0], self.range_length)
+        return _rule_point_probs(self.g, r, as_outcomes(outcomes))
+
+
 def _tally_points(point_probs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     m, n = point_probs.shape
     cum = np.cumsum(point_probs, axis=1)
     us = rng.random(m) * cum[:, -1]
     idx = np.minimum(np.sum(cum <= us[:, None], axis=1), n - 1)
     return np.bincount(idx, minlength=n), m
-
-
-def _point_probs_matrix(reports, outcomes, prob_fn) -> np.ndarray:
-    r = _validate_reports(reports)
-    y = as_outcomes(outcomes)
-    if y.shape[0] != r.shape[1]:
-        raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
-    return np.stack([prob_fn(r, int(y[t]), t) for t in range(r.shape[1])])
-
-
-def _elf_point_probs_all(reports, outcomes) -> np.ndarray:
-    """(m, n) lottery probabilities for every event at once."""
-    r = _validate_reports(reports)
-    n = r.shape[0]
-    if n < 2:
-        raise ValueError(f"event lotteries need n >= 2 forecasters, got {n}")
-    s = score_matrix(r, outcomes)
-    mean_others = (s.sum(axis=0) - s) / (n - 1)
-    return ((1.0 + s - mean_others) / n).T
-
-
-def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
-    """Sample the per-forecaster point tallies of one ELF run."""
-    probs = _elf_point_probs_all(reports, outcomes)
-    points, _ = _tally_points(probs, np.random.default_rng(seed))
-    return points
-
-
-def _tally_and_argmax_select(probs: np.ndarray, seed: int) -> WinnerDraw:
-    rng = np.random.default_rng(seed)
-    points, draws = _tally_points(probs, rng)
-    law = _argmax_tie_law(points.astype(float))
-    ties = np.flatnonzero(law)
-    if ties.size == 1:
-        return WinnerDraw(int(ties[0]), law, RngTrace(seed, draws))
-    winner = int(ties[_categorical_draw(np.ones(ties.size), float(rng.random()))])
-    return WinnerDraw(winner, law, RngTrace(seed, draws + 1))
-
-
-def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
-    """Run the event lotteries, tally points, and pick the point leader.
-
-    One uniform draw per event plus one more on a tie.  The returned
-    distribution is the tie-break law over the realized point argmax; use
-    :func:`elf_winner_law` for the exact unconditional winner law.
-    """
-    probs = _elf_point_probs_all(reports, outcomes)
-    return _tally_and_argmax_select(probs, seed)
-
-
-def point_per_round_select(
-    reports, outcomes, g: Callable[[float, int], float], seed: int,
-    range_length: float | None = None,
-) -> WinnerDraw:
-    """Tally-and-argmax selection for a generalized per-event scoring rule."""
-    r = _validate_reports(reports)
-    if range_length is not None:
-        _validate_g_range(g, r.shape[0], range_length)
-    probs = _point_probs_matrix(r, outcomes, lambda rr, yy, tt: point_per_round_point_prob(rr, yy, tt, g))
-    return _tally_and_argmax_select(probs, seed)
 
 
 def _tally_dp_law(point_probs: np.ndarray, budget: int) -> np.ndarray:
@@ -416,29 +410,109 @@ def _tally_dp_law(point_probs: np.ndarray, budget: int) -> np.ndarray:
     return law
 
 
+def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
+    """ELF's lottery probabilities for the point on event ``t``."""
+    return Elf().point_probs(_validate_reports(reports)[:, [t]], [y_t])[0]
+
+
+def point_per_round_point_prob(reports, y_t: int, t: int, g: Callable[[float, int], float]) -> np.ndarray:
+    """Per-event point probabilities for a generalized scoring rule ``g``."""
+    return _rule_point_probs(g, _lottery_reports(reports)[:, [t]], np.array([float(y_t)]))[0]
+
+
+def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
+    """Sample the per-forecaster point tallies of one ELF run."""
+    return _tally_points(Elf().point_probs(reports, outcomes), np.random.default_rng(seed))[0]
+
+
+def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
+    """Run the event lotteries, tally points, and pick the point leader."""
+    return Elf().sample(reports, outcomes, seed)
+
+
+def point_per_round_select(
+    reports, outcomes, g: Callable[[float, int], float], seed: int,
+    range_length: float | None = None,
+) -> WinnerDraw:
+    """Tally-and-argmax selection for a generalized per-event scoring rule;
+    the declared range length defaults to the 1/n budget."""
+    if range_length is None:
+        range_length = 1.0 / _validate_reports(reports).shape[0]
+    return PointPerRound(g, range_length).sample(reports, outcomes, seed)
+
+
 def elf_winner_law(reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
     """Exact winner law of the event-lottery mechanism (budget permitting)."""
-    probs = _elf_point_probs_all(reports, outcomes)
-    return _tally_dp_law(probs, budget)
-
-
-def mc_winner_law(config: MechanismConfig, reports, outcomes, trials: int, seed: int) -> tuple[np.ndarray, float]:
-    """Monte Carlo winner law with its worst-entry standard error."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    r = _validate_reports(reports)
-    counts = np.zeros(r.shape[0])
-    for k in range(trials):
-        draw = select(config, r, outcomes, seed=_derive_seed(seed, k))
-        counts[draw.winner] += 1
-    law = counts / trials
-    se = float(np.sqrt(np.max(law * (1.0 - law)) / trials))
-    return law, se
+    return Elf().law(reports, outcomes, budget)
 
 
 # ---------------------------------------------------------------------------
 # Regularized leaders
 # ---------------------------------------------------------------------------
+
+def _warn_if_eta_outside_truthful_range(eta: float, reg: Regularizer) -> None:
+    if reg.declared is None:
+        return
+    limit = min(reg.declared.alpha / 2.0, 1.0 / reg.declared.beta)
+    if eta >= limit:
+        warnings.warn(
+            f"eta={eta} is outside the approximate-truthfulness range "
+            f"eta < min(alpha/2, 1/beta) = {limit} for {reg.name}",
+            stacklevel=3,
+        )
+
+
+@dataclass(frozen=True)
+class Ftrl(_TotalsMechanism):
+    """Distribution-valued selection: gradient of the conjugate at eta * totals."""
+
+    regularizer: Regularizer
+    eta: float
+
+    unimodal: ClassVar[bool] = True
+    # Published learning-rate ceilings recorded beside the truthfulness band.
+    eta_ceilings: ClassVar[dict] = {}
+
+    def __post_init__(self) -> None:
+        if not self.eta > 0.0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
+        _warn_if_eta_outside_truthful_range(self.eta, self.regularizer)
+
+    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
+        return ftrl_select(reports, outcomes, self.regularizer, self.eta)
+
+    def sample(self, reports, outcomes, seed):
+        return sample_winner(self.law(reports, outcomes), seed)
+
+    def _own_win_prob(self, opp_totals):
+        eta, z = self.eta, self.eta * opp_totals
+        if self.regularizer is NEG_ENTROPY:
+            # law_0 = sigmoid(eta q_0 - log sum_j exp(eta q_j)), stable at any eta
+            zmax = z.max(axis=1)
+            log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
+            return lambda own: 1.0 / (1.0 + np.exp(log_a - eta * own))
+        return lambda own: self.regularizer.conjugate_grad(np.column_stack([eta * own, z]))[:, 0]
+
+    def truthfulness_band(self):
+        declared = self.regularizer.declared
+        if declared is None:
+            return None, {}
+        return (declared.beta + 1.0) * self.eta, {"eta": self.eta, **self.eta_ceilings}
+
+
+@dataclass(frozen=True)
+class MultWeights(Ftrl):
+    """FTRL with negative entropy: softmax of eta-scaled total quadratic scores."""
+
+    regularizer: Regularizer = field(default=NEG_ENTROPY, init=False, repr=False)
+
+    # Two learning-rate ceilings circulate for this guarantee: the strict 1/4
+    # and the curvature-level min(alpha/2, 1/beta).
+    eta_ceilings: ClassVar[dict] = {
+        "eta_threshold_strict": 0.25,
+        "eta_threshold_curvature": min(NEG_ENTROPY.declared.alpha / 2.0, 1.0 / NEG_ENTROPY.declared.beta),
+    }
+
 
 def ftrl_select(reports, outcomes, regularizer: Regularizer, eta: float) -> np.ndarray:
     """Selection distribution of the regularized leader: grad C(eta * totals).
@@ -448,8 +522,7 @@ def ftrl_select(reports, outcomes, regularizer: Regularizer, eta: float) -> np.n
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    totals = score_totals(reports, outcomes)
-    return regularizer.conjugate_grad(eta * totals)
+    return regularizer.conjugate_grad(eta * score_totals(reports, outcomes))
 
 
 def mw_select(reports, outcomes, eta: float) -> np.ndarray:
@@ -481,6 +554,33 @@ def laplace_cdf(x, b: float) -> np.ndarray:
     """CDF of the Laplace(0, b) distribution, vectorized."""
     x = np.asarray(x, dtype=float)
     return np.where(x < 0.0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+
+
+@dataclass(frozen=True)
+class ReportNoisyMax(_TotalsMechanism):
+    """Argmax of Laplace-perturbed totals; the scale b must be at least 4."""
+
+    b: float
+
+    unimodal: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        if not self.b >= 4.0:
+            raise ValueError(f"ReportNoisyMax requires b >= 4, got {self.b}")
+
+    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
+        return noisy_max_law(score_totals(reports, outcomes), self.b)
+
+    def sample(self, reports, outcomes, seed):
+        return report_noisy_max_select(reports, outcomes, self.b, seed)
+
+    def _own_win_prob(self, opp_totals):
+        return lambda own: np.array(
+            [noisy_max_win_prob(np.concatenate([[own[k]], opp_totals[k]]), self.b, 0) for k in range(own.size)]
+        )
+
+    def truthfulness_band(self):
+        return 4.0 / self.b, {"b": self.b}
 
 
 def report_noisy_max_select(reports, outcomes, b: float, seed: int) -> WinnerDraw:
@@ -557,51 +657,35 @@ def noisy_max_law(totals, b: float, order: int = 24) -> np.ndarray:
     return law / total
 
 
+MechanismConfig = SimpleMax | Elf | PointPerRound | Ftrl | MultWeights | ReportNoisyMax
+
+
 # ---------------------------------------------------------------------------
 # Dispatchers
 # ---------------------------------------------------------------------------
-
-def _derive_seed(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(1)[0])
-
 
 def selection_law(
     config: MechanismConfig, reports, outcomes,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> np.ndarray:
     """Exact selection distribution of any mechanism given (R, y)."""
-    if isinstance(config, SimpleMax):
-        return _argmax_tie_law(score_totals(reports, outcomes))
-    if isinstance(config, Elf):
-        return elf_winner_law(reports, outcomes, budget=budget)
-    if isinstance(config, PointPerRound):
-        r = _validate_reports(reports)
-        _validate_g_range(config.g, r.shape[0], config.range_length)
-        probs = _point_probs_matrix(
-            r, outcomes, lambda rr, yy, tt: point_per_round_point_prob(rr, yy, tt, config.g)
-        )
-        return _tally_dp_law(probs, budget)
-    if isinstance(config, Ftrl):
-        return ftrl_select(reports, outcomes, config.regularizer, config.eta)
-    if isinstance(config, MultWeights):
-        return mw_select(reports, outcomes, config.eta)
-    if isinstance(config, ReportNoisyMax):
-        return noisy_max_law(score_totals(reports, outcomes), config.b)
-    raise TypeError(f"unknown mechanism config {config!r}")
+    return config.law(reports, outcomes, budget)
 
 
 def select(config: MechanismConfig, reports, outcomes, seed: int) -> WinnerDraw:
     """Sample a winner under any mechanism configuration."""
-    if isinstance(config, SimpleMax):
-        return simple_max_select(reports, outcomes, seed)
-    if isinstance(config, Elf):
-        return elf_select(reports, outcomes, seed)
-    if isinstance(config, PointPerRound):
-        return point_per_round_select(reports, outcomes, config.g, seed, config.range_length)
-    if isinstance(config, Ftrl):
-        return sample_winner(ftrl_select(reports, outcomes, config.regularizer, config.eta), seed)
-    if isinstance(config, MultWeights):
-        return sample_winner(mw_select(reports, outcomes, config.eta), seed)
-    if isinstance(config, ReportNoisyMax):
-        return report_noisy_max_select(reports, outcomes, config.b, seed)
-    raise TypeError(f"unknown mechanism config {config!r}")
+    return config.sample(reports, outcomes, seed)
+
+
+def mc_winner_law(config: MechanismConfig, reports, outcomes, trials: int, seed: int) -> tuple[np.ndarray, float]:
+    """Monte Carlo winner law with its worst-entry standard error."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    r = _validate_reports(reports)
+    counts = np.zeros(r.shape[0])
+    for k in range(trials):
+        draw = select(config, r, outcomes, seed=derive_seed(seed, k))
+        counts[draw.winner] += 1
+    law = counts / trials
+    se = float(np.sqrt(np.max(law * (1.0 - law)) / trials))
+    return law, se

@@ -78,8 +78,10 @@ class Regularizer:
         name: identifier used in configs and reports.
         value: R(pi) on the simplex.
         conjugate_value: C(x) for arbitrary real score vectors.
-        conjugate_grad: gradient of C; always a point in the simplex.
-        conjugate_partial2: second partial of C along one coordinate.
+        conjugate_grad: gradient of C; always a point in the simplex.  Takes
+            (..., n) input and maps each row along the last axis.
+        conjugate_partial2: second partial of C along one coordinate, for
+            (..., n) input one value per row.
         conjugate_partial3: third partial of C along one coordinate.
         declared: curvature constants claimed for this regularizer, if any.
         exact_partials: False when the partials come from finite differences,
@@ -90,7 +92,7 @@ class Regularizer:
     value: Callable[[np.ndarray], float]
     conjugate_value: Callable[[np.ndarray], float]
     conjugate_grad: Callable[[np.ndarray], np.ndarray]
-    conjugate_partial2: Callable[[np.ndarray, int], float]
+    conjugate_partial2: Callable[[np.ndarray, int], float | np.ndarray]
     conjugate_partial3: Callable[[np.ndarray, int], float]
     declared: CurvatureConstants | None = None
     exact_partials: bool = True
@@ -100,7 +102,15 @@ def _as_finite_vector(x, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    return _as_finite_rows(arr, name)
+
+
+def _as_finite_rows(x, name: str = "x") -> np.ndarray:
+    """A (..., n) array of score vectors, one per row along the last axis."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError(f"{name} must have a nonempty last axis")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 
@@ -123,36 +133,30 @@ def neg_entropy(pi) -> float:
     return float(np.sum(nz * np.log(nz)))
 
 
-def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, float]:
-    # One shared max-shift for value/grad/partials keeps their ratios
-    # consistent bit-for-bit; everything downstream is shift-invariant.
-    shift = float(np.max(x))
-    return np.exp(x - shift), shift
-
-
 def entropy_conjugate(x) -> float:
     """log-sum-exp of ``x``, computed with max-shift stabilization."""
     arr = _as_finite_vector(x)
-    e, shift = _shifted_exp(arr)
-    return shift + math.log(math.fsum(e))
+    shift = float(np.max(arr))
+    return shift + math.log(math.fsum(np.exp(arr - shift)))
 
 
 def entropy_conjugate_grad(x) -> np.ndarray:
-    """Softmax of ``x``; entries are positive and sum to 1."""
-    arr = _as_finite_vector(x)
-    e, _ = _shifted_exp(arr)
-    return e / e.sum()
+    """Softmax of each row of ``x``; entries are positive and sum to 1."""
+    arr = _as_finite_rows(x)
+    # Max-shifted; the softmax is shift-invariant.
+    e = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy_conjugate_partial2(x, i: int) -> float:
+def entropy_conjugate_partial2(x, i: int):
     """Second coordinate partial of log-sum-exp: pi_i * (1 - pi_i)."""
-    pi = entropy_conjugate_grad(x)
-    return float(pi[i] * (1.0 - pi[i]))
+    pi = entropy_conjugate_grad(x)[..., i]
+    return pi * (1.0 - pi)
 
 
 def entropy_conjugate_partial3(x, i: int) -> float:
     """Third coordinate partial of log-sum-exp: pi_i (1 - pi_i) (1 - 2 pi_i)."""
-    pi = entropy_conjugate_grad(x)
+    pi = entropy_conjugate_grad(_as_finite_vector(x))
     return float(pi[i] * (1.0 - pi[i]) * (1.0 - 2.0 * pi[i]))
 
 
@@ -167,14 +171,14 @@ def l2_value(pi) -> float:
 
 
 def _project_to_simplex(x: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto the simplex (sort-based); the active set is
-    # the coordinates that survive the water-filling threshold.
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, x.size + 1)
-    cond = u - css / ks > 0.0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = css[rho] / (rho + 1)
+    # Euclidean projection of each row onto the simplex (sort-based); the
+    # active set is the coordinates that survive the water-filling threshold.
+    u = np.sort(x, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    n = x.shape[-1]
+    cond = u - css / np.arange(1, n + 1) > 0.0
+    rho = n - 1 - np.argmax(cond[..., ::-1], axis=-1)[..., None]  # last index meeting cond
+    tau = np.take_along_axis(css, rho, axis=-1) / (rho + 1)
     return np.maximum(x - tau, 0.0)
 
 
@@ -185,20 +189,15 @@ def l2_conjugate(x) -> float:
 
 
 def l2_conjugate_grad(x) -> np.ndarray:
-    arr = _as_finite_vector(x)
-    return _project_to_simplex(arr)
+    return _project_to_simplex(_as_finite_rows(x))
 
 
-def l2_conjugate_partial2(x, i: int) -> float:
+def l2_conjugate_partial2(x, i: int):
     # Piecewise linear gradient: slope 1 - 1/|S| on the active set, 0 off it.
     # The zero branch is what breaks strict convexity far from the origin.
-    arr = _as_finite_vector(x)
-    pi = _project_to_simplex(arr)
-    active = pi > 0.0
-    if not active[i]:
-        return 0.0
-    size = int(active.sum())
-    return 1.0 - 1.0 / size
+    active = _project_to_simplex(_as_finite_rows(x)) > 0.0
+    # [()] makes the result of a single vector a scalar
+    return np.where(active[..., i], 1.0 - 1.0 / active.sum(axis=-1), 0.0)[()]
 
 
 def l2_conjugate_partial3(x, i: int) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from forecastcomp import agents
 from forecastcomp.agents import (
     BestResponse,
     Extremizer,
@@ -170,6 +171,27 @@ class TestBestResponseFull:
         assert res.report[0] in (0.0, 1.0)
         assert res.expected_utility == pytest.approx(0.5, abs=1e-12)
         assert expected_win_prob(ctx, np.array([0.5])) == 0.0
+
+    def test_flat_line_searches_do_not_stall(self, monkeypatch):
+        # On this context one start's line searches kept returning points a
+        # few 1e-8 apart at equal utility; counting such ties as moves ran
+        # the ascent to its 200-cycle cap (424 line searches).
+        searches = []
+
+        def counting(*args, **kwargs):
+            searches.append(1)
+            return golden_section_max(*args, **kwargs)
+
+        monkeypatch.setattr(agents, "golden_section_max", counting)
+        opponents = np.array([
+            [0.00031636440192883697, 0.03427409742475729],
+            [0.12864507562031668, 0.865346246297068],
+            [0.24574433849814237, 0.8707659994918415],
+        ])
+        ctx = StrategicContext(opponents, np.array([0.523101803174327, 0.6097434316570846]), MultWeights(eta=0.05))
+        res = best_response_full(ctx, starts=5, seed=11)
+        assert len(searches) <= 60
+        assert np.max(np.abs(res.report - ctx.own_beliefs)) <= 4 * 0.05
 
     def test_symmetric_context_truthful(self):
         ctx = StrategicContext(np.full((1, 2), 0.5), np.full(2, 0.5), MultWeights(eta=0.1))

@@ -209,6 +209,53 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "io"
 
+    @pytest.mark.parametrize(
+        "flag, value, violation",
+        [("--trials", "0", "trials must be >= 1"), ("--threads", "-3", "threads must be >= 1"),
+         ("--seed", "-1", "seed must be >= 0")],
+    )
+    def test_invalid_flag_exit_two(self, tmp_path, capsys, flag, value, violation):
+        # flags are merged into the config before it is validated
+        cfg_path = write_config(tmp_path, MINIMAL_RUN)
+        out = tmp_path / "x"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out), flag, value])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert any(violation in v for v in record["violations"])
+        assert not out.exists()
+
+    def test_variants_must_be_a_list_of_strings(self, tmp_path, capsys):
+        data = {"command": "bounds-table", "params": {"ns": [10], "epsilons": [0.1], "delta": 0.1, "variants": "mw"}}
+        code = main(["bounds-table", "--config", str(write_config(tmp_path, data)), "--out", str(tmp_path / "x")])
+        assert code == 2
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert violations == ["params.variants must be a list of strings, got 'mw'"]
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize(
+        "mechanism, strategies",
+        [({"type": "mw", "eta": 0.05}, "round_local_best_response"), ({"type": "elf"}, "extremizer"),
+         ({"type": "noisy_max", "b": 4.0}, "truthful")],
+        ids=["mw-round-local", "elf-extremizer", "noisy-max"],
+    )
+    def test_rows_equal_per_trial_competition_winners(self, tmp_path, mechanism, strategies):
+        # run builds the reports once; trial k must still pick the winner of
+        # run_competition_trial at seed derive_seed(master, 5, k)
+        from forecastcomp.cli import _build_mechanism, _build_setting, _build_strategies
+        from forecastcomp.experiments import derive_seed, run_competition_trial
+
+        data = dict(MINIMAL_RUN, mechanism=mechanism, params={"epsilon": 0.5, "strategies": strategies})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out), "--threads", "2"]) == 0
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        setting = _build_setting(data["setting"], 7)
+        mech = _build_mechanism(mechanism, setting.n)
+        strats = _build_strategies(data["params"], setting.n)
+        expected = [run_competition_trial(setting, strats, mech, derive_seed(7, 5, k)).winner for k in range(20)]
+        assert [int(r[1]) for r in rows] == expected
+
 
 class TestDeterminismAcrossThreads:
     @pytest.mark.parametrize(

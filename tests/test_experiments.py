@@ -28,7 +28,7 @@ from forecastcomp.experiments import (
     wilson_interval,
 )
 from forecastcomp.mechanisms import Elf, MultWeights, SimpleMax, elf_point_prob, selection_law
-from forecastcomp.regularizers import NEG_ENTROPY
+from forecastcomp.regularizers import L2, NEG_ENTROPY
 
 
 class TestSettings:
@@ -309,6 +309,16 @@ class TestOnlineRun:
         for t in (0, 1, 50, 199):
             np.testing.assert_array_equal(trace.replay_pi(t), trace.pis[t])
         assert abs(trace.recompute_regret() - trace.regret) <= 1e-10
+
+    def test_causality_replay_uses_the_run_regularizer(self):
+        n, T = 3, 40
+        rng = np.random.default_rng(31)
+        trace = online_run(
+            rng.random((n, T)), rng.random(T), [Truthful()] * n, OnlinePreference("myopic"), L2, 0.05, seed=32
+        )
+        assert trace.regularizer_name == "l2"
+        for t in (0, 20, 39):
+            assert np.array_equal(trace.replay_pi(t), trace.pis[t])
 
     def test_myopic_best_response_stays_in_band(self):
         n, T = 3, 40

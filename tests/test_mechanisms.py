@@ -262,6 +262,13 @@ class TestFtrlAndMw:
         with pytest.raises(ValueError):
             MultWeights(eta=-1.0)
 
+    def test_mult_weights_is_entropy_ftrl(self):
+        mw = MultWeights(eta=0.2)
+        assert isinstance(mw, Ftrl) and mw.regularizer is NEG_ENTROPY
+        assert repr(mw) == "MultWeights(eta=0.2)"
+        reports, y = random_instance(np.random.default_rng(34))
+        np.testing.assert_array_equal(selection_law(mw, reports, y), mw_select(reports, y, 0.2))
+
     def test_eta_truthfulness_warning(self):
         with pytest.warns(UserWarning, match="eta"):
             MultWeights(eta=0.9)
@@ -346,6 +353,17 @@ class TestSelectionLawInvariants:
             law = selection_law(config, reports, y)
             law_perm = selection_law(config, reports[perm], y)
             np.testing.assert_allclose(law_perm, law[perm], atol=1e-9)
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS + [Ftrl(regularizer=L2, eta=0.2)], ids=ALL_IDS + ["ftrl_l2"])
+    def test_utility_kernel_matches_law(self, config):
+        # the kernel's P(row 0 wins) under each outcome row is row 0 of the law
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            opponents, report = rng.random((n - 1, m)), rng.random(m)
+            bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
+            expected = [config.law(np.vstack([report, opponents]), y)[0] for y in bits]
+            np.testing.assert_allclose(config.utility_kernel(opponents, bits)(report), expected, atol=1e-9)
 
     def test_winner_draw_records_seed_provenance(self):
         reports, y = random_instance(np.random.default_rng(30))
