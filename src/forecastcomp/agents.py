@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -61,20 +61,37 @@ DEFAULT_ENUM_BUDGET = 20
 # Strategies
 # ---------------------------------------------------------------------------
 
+class _Strategy:
+    """Every strategy commits in advance to ``plan(beliefs)``; one that
+    ``responds`` plans truthfully, then best-responds to the others' plans."""
+
+    responds: ClassVar[bool] = False
+
+    def plan(self, beliefs) -> np.ndarray:
+        return as_probabilities(beliefs, "beliefs").copy()
+
+
 @dataclass(frozen=True)
-class Truthful:
+class Truthful(_Strategy):
     """Report beliefs unchanged."""
 
 
 @dataclass(frozen=True)
-class FixedReport:
+class FixedReport(_Strategy):
     """Report a fixed vector regardless of beliefs."""
 
     report: tuple[float, ...]
 
+    def plan(self, beliefs) -> np.ndarray:
+        p = as_probabilities(beliefs, "beliefs")
+        r = as_probabilities(np.asarray(self.report, dtype=float), "fixed report")
+        if r.shape != p.shape:
+            raise ValueError(f"fixed report shape {r.shape} does not match beliefs {p.shape}")
+        return r
+
 
 @dataclass(frozen=True)
-class Extremizer:
+class Extremizer(_Strategy):
     """Pull beliefs toward their nearest extreme: (1-pull)*p + pull*round(p).
 
     Models the variance-seeking misreporter: probabilities at or above 1/2
@@ -87,9 +104,12 @@ class Extremizer:
         if not 0.0 <= self.pull <= 1.0:
             raise ValueError(f"pull must lie in [0, 1], got {self.pull}")
 
+    def plan(self, beliefs) -> np.ndarray:
+        return extremize(beliefs, self.pull)
+
 
 @dataclass(frozen=True)
-class BestResponse:
+class BestResponse(_Strategy):
     """Best-respond to the other forecasters' reports.
 
     ``mode='exact'`` runs the full solver (needs small m); ``mode='round_local'``
@@ -99,6 +119,8 @@ class BestResponse:
 
     mode: str = "exact"
     starts: int = 5
+
+    responds: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "round_local"):
@@ -610,27 +632,19 @@ def strategy_report_row(
     mechanism: MechanismConfig | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Report row produced by one strategy for one forecaster."""
+    """Report row produced by one strategy for one forecaster: its plan, or a
+    best responder's response to ``opponent_reports`` under ``mechanism``."""
+    if not strategy.responds:
+        return strategy.plan(beliefs)
+    if opponent_reports is None or mechanism is None:
+        raise ValueError("best-response strategies need opponent reports and a mechanism")
     p = as_probabilities(beliefs, "beliefs")
-    if isinstance(strategy, Truthful):
-        return p.copy()
-    if isinstance(strategy, FixedReport):
-        r = as_probabilities(np.asarray(strategy.report, dtype=float), "fixed report")
-        if r.shape != p.shape:
-            raise ValueError(f"fixed report shape {r.shape} does not match beliefs {p.shape}")
-        return r
-    if isinstance(strategy, Extremizer):
-        return extremize(p, strategy.pull)
-    if isinstance(strategy, BestResponse):
-        if opponent_reports is None or mechanism is None:
-            raise ValueError("best-response strategies need opponent reports and a mechanism")
-        if strategy.mode == "round_local":
-            if not isinstance(mechanism, Ftrl):
-                raise ValueError("round_local best response needs a regularized-leader mechanism")
-            return round_local_best_response(p, opponent_reports, mechanism.eta, mechanism.regularizer)
-        ctx = StrategicContext(np.asarray(opponent_reports, dtype=float), p, mechanism)
-        return best_response_full(ctx, starts=strategy.starts, seed=seed).report
-    raise TypeError(f"unknown strategy {strategy!r}")
+    if strategy.mode == "round_local":
+        if not isinstance(mechanism, Ftrl):
+            raise ValueError("round_local best response needs a regularized-leader mechanism")
+        return round_local_best_response(p, opponent_reports, mechanism.eta, mechanism.regularizer)
+    ctx = StrategicContext(np.asarray(opponent_reports, dtype=float), p, mechanism)
+    return best_response_full(ctx, starts=strategy.starts, seed=seed).report
 
 
 def build_reports(
@@ -641,10 +655,9 @@ def build_reports(
 ) -> np.ndarray:
     """Assemble the report matrix for a profile of strategies.
 
-    Non-responsive strategies report directly.  Best-response strategies then
-    respond to the other rows of that first pass (best responders are taken
-    as truthful in the pass they respond to), matching a simultaneous-move
-    reading where each agent responds to a fixed plan of the others.
+    Every strategy first reports its plan; best responders then respond to
+    the other rows of that first pass, matching a simultaneous-move reading
+    where each agent responds to a fixed plan of the others.
     """
     p = as_probabilities(beliefs, "beliefs")
     if p.ndim != 2:
@@ -652,16 +665,9 @@ def build_reports(
     n = p.shape[0]
     if len(strategies) != n:
         raise ValueError(f"got {len(strategies)} strategies for {n} forecasters")
-    reports = np.vstack(
-        [
-            strategy_report_row(s, p[i])
-            if not isinstance(s, BestResponse)
-            else p[i].copy()
-            for i, s in enumerate(strategies)
-        ]
-    )
+    reports = np.vstack([s.plan(p[i]) for i, s in enumerate(strategies)])
     for i, s in enumerate(strategies):
-        if isinstance(s, BestResponse):
+        if s.responds:
             others = np.delete(reports, i, axis=0)
             reports[i] = strategy_report_row(s, p[i], others, mechanism, seed=seed + i)
     return reports

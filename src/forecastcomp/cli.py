@@ -67,7 +67,7 @@ from forecastcomp.mechanisms import (
     ReportNoisyMax,
     SimpleMax,
 )
-from forecastcomp.regularizers import condition_check, regularizer_by_name
+from forecastcomp.regularizers import NEG_ENTROPY, condition_check, regularizer_by_name
 from forecastcomp.scoring import as_probabilities
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "serialize_config", "dispatch", "main"]
@@ -199,35 +199,41 @@ def _validate_setting(spec, command: str, errs: list[str]) -> None:
     if not isinstance(spec, dict):
         errs.append(f"setting must be an object, got {spec!r}")
         return
+    before = len(errs)
+    gen = spec.get("generator")
     if "beliefs" in spec or "theta" in spec:
         if command == "estimate-complexity":
             errs.append("estimate-complexity needs a generator-based setting (m varies per probe)")
-            return
         unknown = set(spec) - {"beliefs", "theta"}
         if unknown:
             errs.append(f"unknown inline-setting keys: {sorted(unknown)}")
         if "beliefs" not in spec or "theta" not in spec:
             errs.append("inline settings need both beliefs and theta")
-        return
-    gen = spec.get("generator")
-    if gen not in _GENERATOR_KEYS:
+    elif gen not in _GENERATOR_KEYS:
         errs.append(f"setting.generator must be one of {sorted(_GENERATOR_KEYS)}, got {gen!r}")
-        return
-    unknown = set(spec) - _GENERATOR_KEYS[gen] - {"generator", "n", "m", "setting_seed"}
-    if unknown:
-        errs.append(f"unknown setting keys for {gen}: {sorted(unknown)}")
-    if "n" not in spec:
-        errs.append("setting requires n")
     else:
-        _check_number(spec["n"], "setting.n", errs, low=2, integer=True)
-    if command == "run" and "m" not in spec:
-        errs.append("run requires setting.m")
-    if "m" in spec:
-        _check_number(spec["m"], "setting.m", errs, low=1, integer=True)
-    if gen == "gap" and "gap" in spec:
-        _check_number(spec["gap"], "setting.gap", errs, low=0.0, low_open=True)
-    if gen == "near_tie" and "epsilon" in spec:
-        _check_number(spec["epsilon"], "setting.epsilon", errs, low=0.0, low_open=True)
+        unknown = set(spec) - _GENERATOR_KEYS[gen] - {"generator", "n", "m", "setting_seed"}
+        if unknown:
+            errs.append(f"unknown setting keys for {gen}: {sorted(unknown)}")
+        if "n" not in spec:
+            errs.append("setting requires n")
+        else:
+            _check_number(spec["n"], "setting.n", errs, low=2, integer=True)
+        if command == "run" and "m" not in spec:
+            errs.append("run requires setting.m")
+        if "m" in spec:
+            _check_number(spec["m"], "setting.m", errs, low=1, integer=True)
+        if "setting_seed" in spec:
+            _check_number(spec["setting_seed"], "setting.setting_seed", errs, low=0, integer=True)
+        for key in ("gap", "epsilon", "theta_low"):
+            if key in spec:
+                _check_number(spec[key], f"setting.{key}", errs)
+    if len(errs) == before:
+        # the library's own preconditions (a generated setting is built at m=1)
+        try:
+            _build_setting(spec, 0, m_override=None if gen is None else 1)
+        except (ValueError, TypeError) as exc:
+            errs.append(f"setting: {exc}")
 
 
 def _validate_params(command: str, params, errs: list[str]) -> None:
@@ -270,6 +276,9 @@ def _validate_params(command: str, params, errs: list[str]) -> None:
     for key in ("ns", "epsilons"):
         if key in params and (not isinstance(params[key], list) or not params[key]):
             errs.append(f"params.{key} must be a nonempty list")
+    if isinstance(params.get("ns"), list):
+        for k, n in enumerate(params["ns"]):
+            _check_number(n, f"params.ns[{k}]", errs, low=2, integer=True)
     if command == "bounds-table":
         for key in ("ns", "epsilons", "delta"):
             if key not in params:
@@ -570,8 +579,6 @@ def _cmd_truthfulness_sweep(cfg: ExperimentConfig, seed: int) -> tuple[list[str]
 
 
 def _cmd_online_regret(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
-    from forecastcomp.regularizers import NEG_ENTROPY
-
     n = int(cfg.params["n"])
     T = int(cfg.params["T"])
     eta = cfg.params.get("eta", "auto")

@@ -15,16 +15,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from forecastcomp.agents import (
     AgentStrategy,
     Extremizer,
+    FixedReport,
     Truthful,
+    _Strategy,
     build_reports,
-    extremize,
     golden_section_max,
 )
 from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed, select
@@ -516,20 +517,24 @@ class OnlinePreference:
 
 
 @dataclass(frozen=True)
-class MyopicBestResponse:
+class MyopicBestResponse(_Strategy):
     """Online expert maximizing only their next-round selection probability."""
+
+    responds: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
-class ConsistentBestResponse:
+class ConsistentBestResponse(_Strategy):
     """Online expert maximizing the preference-weighted sum over all later
     rounds, by per-round best response to fixed opponent plans.  Requires a
     small horizon: the expectation enumerates the remaining outcomes."""
 
     max_horizon: int = 12
 
+    responds: ClassVar[bool] = True
 
-OnlineStrategy = Truthful | Extremizer | MyopicBestResponse | ConsistentBestResponse
+
+OnlineStrategy = Truthful | FixedReport | Extremizer | MyopicBestResponse | ConsistentBestResponse
 
 
 @dataclass
@@ -586,12 +591,11 @@ def online_run(
     """Run the sequential selection game and account its regret.
 
     At round t the distribution pi^t is the regularized leader of the scores
-    from rounds 1..t-1 only; reports for round t are then collected, the
-    outcome is sampled, and the loop advances.  Forward-looking experts
-    respond to the fixed plans of the others (truthful or extremizing rows
-    are computable in advance; other responders are planned as truthful),
-    matching a simultaneous-move reading.  The returned trace carries enough
-    state to replay any pi^t exactly.
+    from rounds 1..t-1 only.  Outcomes never depend on reports, so all T are
+    drawn up front, and so is every expert's fixed plan (responders plan
+    truthfully).  A round loop runs only for responders, who best-respond to
+    the others' plans (a simultaneous-move reading).  The returned trace
+    carries enough state to replay any pi^t exactly.
 
     Args:
         beliefs: (n, T) expert belief matrix.
@@ -614,20 +618,13 @@ def online_run(
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
 
-    def plan_report(i: int, s: int) -> float:
-        # The fixed plan of expert i for round s: extremizers distort their
-        # beliefs, everyone else (including responders, as seen by others)
-        # plans truthfully.
-        strat = strategies[i]
-        if isinstance(strat, Extremizer):
-            return float(extremize(p[i, s : s + 1], strat.pull)[0])
-        return float(p[i, s])
-
-    def myopic_respond(i: int, t: int, phase1: np.ndarray, totals: np.ndarray) -> float:
+    # Responders at round t answer the plans for rounds t.. (not each other's
+    # responses) given the realized totals of the rounds before t.
+    def myopic_respond(i: int, t: int, totals: np.ndarray) -> float:
         p_it = float(p[i, t])
 
         def next_selection_prob(r: float) -> float:
-            rt = phase1.copy()
+            rt = planned[:, t].copy()
             rt[i] = r
             # next round's totals if this round's outcome is 1, then if it is 0
             q = totals + np.stack([1.0 - (1.0 - rt) ** 2, 1.0 - rt**2])
@@ -637,24 +634,19 @@ def online_run(
         r_star, _ = golden_section_max(next_selection_prob, 0.0, 1.0, xtol=1e-8)
         return r_star
 
-    def consistent_respond(
-        i: int, t: int, strat: ConsistentBestResponse, phase1: np.ndarray, totals: np.ndarray
-    ) -> float:
-        horizon = T - t
-        if horizon > strat.max_horizon:
+    def consistent_respond(i: int, t: int, totals: np.ndarray) -> float:
+        horizon, max_horizon = T - t, strategies[i].max_horizon
+        if horizon > max_horizon:
             raise ValueError(
-                f"consistent best response enumerates 2^{horizon} outcome paths; "
-                f"max_horizon is {strat.max_horizon}"
+                f"consistent best response enumerates 2^{horizon} outcome paths; max_horizon is {max_horizon}"
             )
         paths = ((np.arange(2**horizon)[:, None] >> np.arange(horizon)[None, :]) & 1).astype(float)
         own = p[i, t : t + horizon]
         weights = np.prod(paths * own + (1.0 - paths) * (1.0 - own), axis=1)
-        plans = np.array([[plan_report(j, s) for s in range(t, T)] for j in range(n)])
-        plans[:, 0] = phase1
         coefs = [preference.coefficient(t + 1, t + k + 2) for k in range(horizon)]
 
         def utility(r: float) -> float:
-            local = plans.copy()
+            local = planned[:, t:].copy()
             local[i, 0] = r
             tot = np.tile(totals, (paths.shape[0], 1))
             value = np.zeros(paths.shape[0])
@@ -668,23 +660,29 @@ def online_run(
         r_star, _ = golden_section_max(utility, 0.0, 1.0, xtol=1e-8)
         return r_star
 
-    rng = np.random.default_rng(seed)
-    reports = np.empty((n, T))
-    outcomes = np.empty(T)
-    pis = np.empty((T, n))
-    totals = np.zeros(n)
-    for t in range(T):
-        pis[t] = regularizer.conjugate_grad(eta * totals)
-        phase1 = np.array([plan_report(i, t) for i in range(n)])
-        row = phase1.copy()
-        for i, strat in enumerate(strategies):
-            if isinstance(strat, MyopicBestResponse):
-                row[i] = myopic_respond(i, t, phase1, totals)
-            elif isinstance(strat, ConsistentBestResponse):
-                row[i] = consistent_respond(i, t, strat, phase1, totals)
-        reports[:, t] = row
-        outcomes[t] = 1.0 if rng.random() < t_vec[t] else 0.0
-        totals += 1.0 - (outcomes[t] - row) ** 2
+    playable = {MyopicBestResponse: myopic_respond, ConsistentBestResponse: consistent_respond}
+    unplayable = [s for s in strategies if s.responds and type(s) not in playable]
+    if unplayable:
+        raise ValueError(f"online_run cannot play the responders {unplayable}")
+    responders = {i: playable[type(s)] for i, s in enumerate(strategies) if s.responds}
+    outcomes = (np.random.default_rng(seed).random(T) < t_vec).astype(float)
+    planned = np.vstack([s.plan(p[i]) for i, s in enumerate(strategies)])
+    reports = planned
+    if responders:
+        reports = planned.copy()
+        totals = np.zeros(n)
+        for t in range(T):
+            for i, respond in responders.items():
+                reports[i, t] = respond(i, t, totals)
+            totals += 1.0 - (outcomes[t] - reports[:, t]) ** 2
+
+    # pis[t] from the scores of rounds before t, as C-contiguous (T, n) rows so
+    # that cumsum and the softmax row sums add in replay_pi's order
+    before = np.zeros((T, n))
+    before[1:] = 1.0 - (outcomes[:-1, None] - reports[:, :-1].T) ** 2
+    np.cumsum(before, axis=0, out=before)
+    before *= eta
+    pis = regularizer.conjugate_grad(before)
 
     belief_scores = [math.fsum(1.0 - (outcomes - p[i]) ** 2) for i in range(n)]
     best_index = int(np.argmax(belief_scores))

@@ -297,15 +297,15 @@ def _lottery_reports(reports) -> np.ndarray:
     return r
 
 
-def _rule_point_probs(g: Callable[[float, int], float], r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(m, n) table f_ti = 1/n + g(r_it, y_t) - mean over j != i of g(r_jt, y_t).
-
-    A result outside [0, 1] is a hard error carrying the offending entry.
+def _rule_point_probs(g: Callable, r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(m, n) table f_ti = 1/n + g(r_it, y_t) - mean over j != i of g(r_jt, y_t),
+    with one call of ``g`` on (n, m) arrays.  A result outside [0, 1] is a hard
+    error carrying the offending entry.
     """
     n, m = r.shape
     if y.shape[0] != m:
         raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
-    gs = np.array([[g(float(r[i, t]), int(y[t])) for i in range(n)] for t in range(m)])
+    gs = np.ascontiguousarray(np.broadcast_to(g(r, np.broadcast_to(y, r.shape)), r.shape).T, dtype=float)
     f = 1.0 / n + gs - (gs.sum(axis=1, keepdims=True) - gs) / (n - 1)
     if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
         t, bad = np.unravel_index(int(np.argmax(np.abs(f - 0.5))), f.shape)
@@ -314,20 +314,6 @@ def _rule_point_probs(g: Callable[[float, int], float], r: np.ndarray, y: np.nda
             f"forecaster {bad} gets point probability {f[t, bad]}"
         )
     return np.clip(f, 0.0, 1.0)
-
-
-def _validate_g_range(g: Callable[[float, int], float], n: int, declared_length: float) -> None:
-    if declared_length > 1.0 / n + 1e-12:
-        raise ValueError(
-            f"declared range length {declared_length} exceeds 1/n = {1.0 / n} for n={n}"
-        )
-    grid = np.linspace(0.0, 1.0, 101)
-    vals = [g(float(r), y) for r in grid for y in (0, 1)]
-    observed = max(vals) - min(vals)
-    if observed > 1.0 / n + 1e-9:
-        raise ValueError(
-            f"sampled range of g has length {observed}, exceeding 1/n = {1.0 / n} for n={n}"
-        )
 
 
 @dataclass(frozen=True)
@@ -348,21 +334,32 @@ class Elf(_PointLottery):
 class PointPerRound(_PointLottery):
     """Point-per-event mechanism driven by a bounded proper scoring rule.
 
-    ``g(r, y)`` must take values in an interval whose length is at most 1/n;
-    this is validated by sampling at call time, and any per-event probability
-    escaping [0, 1] is a hard error with a witness.
+    ``g(r, y)`` maps (n, m) arrays of reports and outcomes to scores (a scalar
+    applies everywhere).  Its values must lie in an interval of length
+    ``range_length``, sampled once at construction, and ``range_length`` must
+    be at most 1/n at call time; any per-event probability escaping [0, 1] is
+    a hard error with a witness.
     """
 
-    g: Callable[[float, int], float]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
     range_length: float
 
     def __post_init__(self) -> None:
         if not self.range_length > 0.0:
             raise ValueError(f"range_length must be positive, got {self.range_length}")
+        grid = np.linspace(0.0, 1.0, 101)
+        vals = np.concatenate([np.broadcast_to(self.g(grid, np.full(grid.size, y)), grid.shape) for y in (0.0, 1.0)])
+        observed = float(vals.max() - vals.min())
+        if observed > self.range_length + 1e-9:
+            raise ValueError(
+                f"sampled range of g has length {observed}, exceeding range_length = {self.range_length}"
+            )
 
     def point_probs(self, reports, outcomes):
         r = _lottery_reports(reports)
-        _validate_g_range(self.g, r.shape[0], self.range_length)
+        n = r.shape[0]
+        if self.range_length > 1.0 / n + 1e-12:
+            raise ValueError(f"declared range length {self.range_length} exceeds 1/n = {1.0 / n} for n={n}")
         return _rule_point_probs(self.g, r, as_outcomes(outcomes))
 
 
@@ -415,7 +412,7 @@ def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
     return Elf().point_probs(_validate_reports(reports)[:, [t]], [y_t])[0]
 
 
-def point_per_round_point_prob(reports, y_t: int, t: int, g: Callable[[float, int], float]) -> np.ndarray:
+def point_per_round_point_prob(reports, y_t: int, t: int, g: Callable) -> np.ndarray:
     """Per-event point probabilities for a generalized scoring rule ``g``."""
     return _rule_point_probs(g, _lottery_reports(reports)[:, [t]], np.array([float(y_t)]))[0]
 
@@ -431,7 +428,7 @@ def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
 
 
 def point_per_round_select(
-    reports, outcomes, g: Callable[[float, int], float], seed: int,
+    reports, outcomes, g: Callable, seed: int,
     range_length: float | None = None,
 ) -> WinnerDraw:
     """Tally-and-argmax selection for a generalized per-event scoring rule;

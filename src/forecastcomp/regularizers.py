@@ -84,8 +84,6 @@ class Regularizer:
             (..., n) input one value per row.
         conjugate_partial3: third partial of C along one coordinate.
         declared: curvature constants claimed for this regularizer, if any.
-        exact_partials: False when the partials come from finite differences,
-            in which case third-derivative noise can pollute alpha estimates.
     """
 
     name: str
@@ -95,7 +93,6 @@ class Regularizer:
     conjugate_partial2: Callable[[np.ndarray, int], float | np.ndarray]
     conjugate_partial3: Callable[[np.ndarray, int], float]
     declared: CurvatureConstants | None = None
-    exact_partials: bool = True
 
 
 def _as_finite_vector(x, name: str = "x") -> np.ndarray:
@@ -143,9 +140,11 @@ def entropy_conjugate(x) -> float:
 def entropy_conjugate_grad(x) -> np.ndarray:
     """Softmax of each row of ``x``; entries are positive and sum to 1."""
     arr = _as_finite_rows(x)
-    # Max-shifted; the softmax is shift-invariant.
-    e = np.exp(arr - arr.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # Max-shifted; the softmax is shift-invariant.  One (..., n) temporary.
+    e = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def entropy_conjugate_partial2(x, i: int):
@@ -205,7 +204,7 @@ def l2_conjugate_partial3(x, i: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference fallback
+# Finite-difference reference
 # ---------------------------------------------------------------------------
 
 def finite_difference_partials(
@@ -213,10 +212,9 @@ def finite_difference_partials(
 ) -> tuple[Callable[[np.ndarray, int], float], Callable[[np.ndarray, int], float]]:
     """Central-difference second and third coordinate partials of C.
 
-    Provided as a fallback for regularizers without closed-form partials.
-    The third difference divides by h^3, so its float noise is orders of
-    magnitude above closed forms; regularizers built on this fallback must
-    be flagged via ``exact_partials=False``.
+    A reference for checking closed-form partials.  The third difference
+    divides by h^3, so its float noise is orders of magnitude above closed
+    forms; alpha estimates built on it are unreliable.
     """
 
     def partial2(x, i: int) -> float:
@@ -335,7 +333,7 @@ def condition_check(
     log d2C over random pairs at each distance in ``pair_distances``.
 
     Args:
-        reg: regularizer exposing closed-form (or flagged FD) partials.
+        reg: regularizer exposing closed-form partials.
         sample_count: number of sampled points per estimate; must be >= 1.
         domain_radius: sup-norm radius of the sampling box.
         rng_seed: seed for the sampling stream.
@@ -413,12 +411,6 @@ def condition_check(
     if passed and declared_beta is not None and emp_beta > declared_beta + beta_tol:
         passed = False
 
-    notes = {}
-    if not reg.exact_partials:
-        notes["finite_difference_partials"] = (
-            "partials are finite-difference approximations; alpha estimate may be noisy"
-        )
-
     return ConditionReport(
         regularizer=reg.name,
         dim=dim,
@@ -433,5 +425,4 @@ def condition_check(
         strict_convexity_ok=strict_ok,
         convexity_witness=convexity_witness,
         passed=passed,
-        notes=notes,
     )

@@ -233,6 +233,25 @@ class TestExitCodes:
         assert violations == ["params.variants must be a list of strings, got 'mw'"]
 
 
+    @pytest.mark.parametrize(
+        "data, violation",
+        [
+            ({"command": "bounds-table", "params": {"ns": [1], "epsilons": [0.1], "delta": 0.1}},
+             "params.ns[0] must be >= 2"),
+            (dict(MINIMAL_RUN, setting={"generator": "gap", "n": 3, "m": 4, "gap": 0.9}), "gap must lie in (0, 0.36]"),
+            (dict(MINIMAL_RUN, setting={"beliefs": [[0.1, 2.0], [0.3, 0.4]], "theta": [0.5, 0.5]}), "beliefs entries"),
+        ],
+        ids=["ns-below-two", "gap-beyond-spread", "inline-belief-above-one"],
+    )
+    def test_library_preconditions_are_config_errors(self, tmp_path, capsys, data, violation):
+        out = tmp_path / "x"
+        code = main([data["command"], "--config", str(write_config(tmp_path, data)), "--out", str(out)])
+        assert code == 2
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert len(violations) == 1 and violation in violations[0]
+        assert not out.exists()
+
+
 class TestRunTrials:
     @pytest.mark.parametrize(
         "mechanism, strategies",

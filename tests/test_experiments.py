@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from forecastcomp.agents import Truthful
+from forecastcomp.agents import BestResponse, Extremizer, FixedReport, Truthful, extremize, golden_section_max
 from forecastcomp.experiments import (
     CompetitionSetting,
     ConsistentBestResponse,
@@ -374,6 +375,97 @@ class TestOnlineRun:
                 0.05,
                 seed=35,
             )
+
+
+    def test_fixed_report_plays_its_report(self):
+        rng = np.random.default_rng(36)
+        trace = online_run(
+            rng.random((2, 5)),
+            rng.random(5),
+            [FixedReport((0.9,) * 5), Truthful()],
+            OnlinePreference("myopic"),
+            NEG_ENTROPY,
+            0.05,
+            seed=37,
+        )
+        np.testing.assert_array_equal(trace.reports[0], 0.9)
+
+    def test_unplayable_responder_is_named(self):
+        rng = np.random.default_rng(38)
+        with pytest.raises(ValueError, match="BestResponse"):
+            online_run(
+                rng.random((2, 5)),
+                rng.random(5),
+                [BestResponse(), Truthful()],
+                OnlinePreference("myopic"),
+                NEG_ENTROPY,
+                0.05,
+                seed=39,
+            )
+
+
+def per_round_oracle(beliefs, theta, plans, myopic, regularizer, eta, seed):
+    """The online game played one round at a time: pi^t from the running
+    totals, myopic experts responding to the others' plans for the round,
+    then the round's outcome drawn."""
+    n, T = beliefs.shape
+    rng = np.random.default_rng(seed)
+    reports, outcomes, pis = np.empty((n, T)), np.empty(T), np.empty((T, n))
+    totals = np.zeros(n)
+    for t in range(T):
+        pis[t] = regularizer.conjugate_grad(eta * totals)
+        row = plans[:, t].copy()
+        for i in np.flatnonzero(myopic):
+            p_it = float(beliefs[i, t])
+
+            def next_selection_prob(r, i=i, p_it=p_it):
+                rt = plans[:, t].copy()
+                rt[i] = r
+                q = totals + np.stack([1.0 - (1.0 - rt) ** 2, 1.0 - rt**2])
+                pi1, pi0 = regularizer.conjugate_grad(eta * q)[:, i]
+                return p_it * float(pi1) + (1.0 - p_it) * float(pi0)
+
+            row[i] = golden_section_max(next_selection_prob, 0.0, 1.0, xtol=1e-8)[0]
+        reports[:, t] = row
+        outcomes[t] = 1.0 if rng.random() < theta[t] else 0.0
+        totals += 1.0 - (outcomes[t] - row) ** 2
+    best = max(math.fsum(1.0 - (outcomes - beliefs[i]) ** 2) for i in range(n))
+    mech = math.fsum(float(np.dot(pis[t], 1.0 - (outcomes[t] - reports[:, t]) ** 2)) for t in range(T))
+    return pis, reports, outcomes, best - mech
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    T=st.integers(min_value=1, max_value=60),
+    kinds=st.lists(st.sampled_from(["truthful", "extremizer", "fixed", "myopic"]), min_size=6, max_size=6),
+    pull=st.floats(min_value=0.0, max_value=1.0),
+    eta=st.floats(min_value=0.01, max_value=0.5),
+    regularizer=st.sampled_from([NEG_ENTROPY, L2]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_online_run_matches_per_round_oracle(n, T, kinds, pull, eta, regularizer, seed):
+    rng = np.random.default_rng(seed)
+    beliefs, theta, fixed = rng.random((n, T)), rng.random(T), rng.random((n, T))
+    strategies, plans = [], beliefs.copy()
+    for i, kind in enumerate(kinds[:n]):
+        if kind == "truthful":
+            strategies.append(Truthful())
+        elif kind == "extremizer":
+            strategies.append(Extremizer(pull=pull))
+            plans[i] = extremize(beliefs[i], pull)
+        elif kind == "fixed":
+            strategies.append(FixedReport(tuple(fixed[i])))
+            plans[i] = fixed[i]
+        else:
+            strategies.append(MyopicBestResponse())
+    myopic = np.array([kind == "myopic" for kind in kinds[:n]])
+    trace = online_run(beliefs, theta, strategies, OnlinePreference("myopic"), regularizer, eta, seed)
+    pis, reports, outcomes, regret = per_round_oracle(beliefs, theta, plans, myopic, regularizer, eta, seed)
+    assert np.array_equal(trace.pis, pis)
+    assert np.array_equal(trace.reports, reports)
+    assert np.array_equal(trace.outcomes, outcomes)
+    assert trace.regret == regret
 
 
 class TestPointGapProperty:

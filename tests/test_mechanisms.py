@@ -186,6 +186,25 @@ class TestPointPerRound:
         with pytest.raises(ValueError, match="range"):
             point_per_round_select(reports, y, g, seed=0, range_length=0.5)
 
+    def test_range_sampled_once_and_g_called_once_per_sample(self):
+        calls = []
+
+        def g(r, y):
+            calls.append(1)
+            return (1.0 - (y - r) ** 2) / 5.0
+
+        mech = PointPerRound(g, range_length=0.2)
+        calls.clear()
+        rng = np.random.default_rng(34)
+        reports, y = rng.random((5, 60)), (rng.random(60) < 0.5).astype(float)
+        draws = [mech.sample(reports, y, seed=k) for k in range(2)]
+        assert len(calls) == 2
+        assert [d.winner for d in draws] == [Elf().sample(reports, y, seed=k).winner for k in range(2)]
+
+    def test_range_beyond_declared_length_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="range_length"):
+            PointPerRound(lambda r, y: (1.0 - (y - r) ** 2) / 2.0, range_length=0.25)
+
 
 class TestFtrlAndMw:
     def test_equal_scores_uniform(self):
