@@ -11,14 +11,13 @@ approximate-truthfulness band is what makes that benchmark attainable.
 Run: python demos/online_no_regret.py
 """
 
-import math
-
 import numpy as np
 
 from forecastcomp.agents import Extremizer, Truthful
 from forecastcomp.experiments import (
     MyopicBestResponse,
     OnlinePreference,
+    mw_tuned_eta,
     online_run,
     regret_bound,
 )
@@ -26,7 +25,7 @@ from forecastcomp.regularizers import NEG_ENTROPY
 
 SEED = 4242
 N, T = 10, 10_000
-ETA = math.sqrt(math.log(N) / (10 * T))
+ETA = mw_tuned_eta(T, N)
 BOUND = regret_bound("mw", T, N)
 
 print(f"n={N} experts, T={T} rounds, eta=sqrt(ln n / 10T)={ETA:.5f}")
@@ -56,7 +55,7 @@ for name, strategies in populations.items():
 # myopic best responders are expensive (a line search per expert per round),
 # so demonstrate them on a shorter horizon
 T_SHORT = 400
-eta_s = math.sqrt(math.log(N) / (10 * T_SHORT))
+eta_s = mw_tuned_eta(T_SHORT, N)
 rng = np.random.default_rng(SEED)
 beliefs = rng.random((N, T_SHORT))
 trace = online_run(

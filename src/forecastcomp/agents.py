@@ -273,7 +273,7 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float, xtol: 
 def _require_eta_in_range(eta: float, reg: Regularizer) -> None:
     if reg.declared is None:
         raise ValueError(f"regularizer {reg.name} declares no curvature constants")
-    limit = min(reg.declared.alpha / 2.0, 1.0 / reg.declared.beta)
+    limit = reg.declared.eta_ceiling
     if not 0.0 < eta < limit:
         raise ValueError(
             f"eta={eta} violates the per-round optimum precondition "
@@ -554,6 +554,8 @@ def truthfulness_gap_sweep(
     """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
+    if m > DEFAULT_ENUM_BUDGET:
+        raise ValueError(f"m={m} exceeds the exact enumeration budget {DEFAULT_ENUM_BUDGET} of each best response")
     rng = np.random.default_rng(seed)
     worst = -1.0
     witness: dict = {}

@@ -11,6 +11,11 @@ runs the named experiment, and writes three files into the output directory:
 - manifest.json config echo, code version, master seed, per-output
                 checksums, and wall-clock time.
 
+Each vocabulary (commands, mechanism types, setting generators, strategy
+presets) is the keys of one table below.  The parser checks JSON types and
+unknown or missing keys against them, then builds the config with the library
+on its smallest instance; whatever the library refuses there is a violation.
+
 Rerunning with the same config and seed produces byte-identical CSV and
 summary bodies at any thread count; only the manifest's wall-clock differs.
 """
@@ -25,6 +30,7 @@ import math
 import secrets
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -32,14 +38,7 @@ from typing import Callable
 import numpy as np
 
 import forecastcomp
-from forecastcomp.agents import (
-    AgentStrategy,
-    BestResponse,
-    Extremizer,
-    Truthful,
-    build_reports,
-    truthfulness_gap_sweep,
-)
+from forecastcomp.agents import AgentStrategy, BestResponse, Extremizer, Truthful, build_reports, truthfulness_gap_sweep
 from forecastcomp.experiments import (
     CompetitionSetting,
     MyopicBestResponse,
@@ -50,6 +49,7 @@ from forecastcomp.experiments import (
     estimate_success_prob,
     gap_setting,
     identical_beliefs_setting,
+    mw_tuned_eta,
     near_tie_setting,
     online_run,
     perfect_vs_terrible_setting,
@@ -58,56 +58,11 @@ from forecastcomp.experiments import (
     theoretical_bounds,
     wilson_interval,
 )
-from forecastcomp.mechanisms import (
-    Elf,
-    Ftrl,
-    MechanismConfig,
-    MultWeights,
-    PointPerRound,
-    ReportNoisyMax,
-    SimpleMax,
-)
+from forecastcomp.mechanisms import Elf, Ftrl, MechanismConfig, MultWeights, PointPerRound, ReportNoisyMax, SimpleMax
 from forecastcomp.regularizers import NEG_ENTROPY, condition_check, regularizer_by_name
 from forecastcomp.scoring import as_probabilities
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "serialize_config", "dispatch", "main"]
-
-COMMANDS = (
-    "run",
-    "estimate-complexity",
-    "truthfulness-sweep",
-    "online-regret",
-    "lower-bound-demo",
-    "condition-check",
-    "bounds-table",
-)
-
-_TOP_KEYS = {"command", "seed", "trials", "threads", "out", "mechanism", "setting", "params"}
-_MECHANISM_KEYS = {
-    "simple_max": set(),
-    "elf": set(),
-    "mw": {"eta"},
-    "ftrl": {"eta", "regularizer"},
-    "noisy_max": {"b"},
-    "point_per_round": {"g"},
-}
-_GENERATOR_KEYS = {
-    "random": set(),
-    "perfect_vs_terrible": set(),
-    "gap": {"gap", "theta_low"},
-    "near_tie": {"epsilon", "theta_low"},
-    "identical": set(),
-}
-_PARAM_KEYS = {
-    "run": {"epsilon", "strategies", "pull"},
-    "estimate-complexity": {"epsilon", "delta", "m_cap", "strategies", "pull"},
-    "truthfulness-sweep": {"n", "m", "contexts"},
-    "online-regret": {"T", "n", "eta", "strategies", "pull"},
-    "lower-bound-demo": {"n"},
-    "condition-check": {"regularizer", "samples", "radius", "dim"},
-    "bounds-table": {"ns", "epsilons", "delta", "variants", "gamma"},
-}
-_BOUND_VARIANTS = ("simple_max", "elf", "elf_proof", "mw", "noisy_max")
 
 
 class ConfigError(ValueError):
@@ -134,311 +89,90 @@ class ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
     """Canonical JSON-ready form; parse(serialize(cfg)) round-trips exactly."""
-    data: dict = {"command": cfg.command}
-    if cfg.mechanism is not None:
-        data["mechanism"] = cfg.mechanism
-    if cfg.setting is not None:
-        data["setting"] = cfg.setting
-    if cfg.params:
-        data["params"] = cfg.params
-    if cfg.seed is not None:
-        data["seed"] = cfg.seed
-    if cfg.trials is not None:
-        data["trials"] = cfg.trials
-    if cfg.threads != 1:
-        data["threads"] = cfg.threads
-    if cfg.out is not None:
-        data["out"] = cfg.out
-    return data
-
-
-def _check_number(value, name: str, errs: list[str], *, low=None, high=None, low_open=False, integer=False) -> None:
-    if integer and not isinstance(value, int):
-        errs.append(f"{name} must be an integer, got {value!r}")
-        return
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        errs.append(f"{name} must be a number, got {value!r}")
-        return
-    if low is not None and (value <= low if low_open else value < low):
-        op = ">" if low_open else ">="
-        errs.append(f"{name} must be {op} {low}, got {value}")
-    if high is not None and value > high:
-        errs.append(f"{name} must be <= {high}, got {value}")
-
-
-def _validate_mechanism(spec, errs: list[str]) -> None:
-    if not isinstance(spec, dict):
-        errs.append(f"mechanism must be an object, got {spec!r}")
-        return
-    mtype = spec.get("type")
-    if mtype not in _MECHANISM_KEYS:
-        errs.append(f"mechanism.type must be one of {sorted(_MECHANISM_KEYS)}, got {mtype!r}")
-        return
-    unknown = set(spec) - _MECHANISM_KEYS[mtype] - {"type"}
-    if unknown:
-        errs.append(f"unknown mechanism keys for {mtype}: {sorted(unknown)}")
-    if mtype in ("mw", "ftrl"):
-        if "eta" not in spec:
-            errs.append(f"mechanism {mtype} requires eta")
-        else:
-            _check_number(spec["eta"], "mechanism.eta", errs, low=0.0, low_open=True)
-    if mtype == "ftrl":
-        reg = spec.get("regularizer", "negative_entropy")
-        if reg not in ("negative_entropy", "l2"):
-            errs.append(f"mechanism.regularizer must be negative_entropy or l2, got {reg!r}")
-    if mtype == "noisy_max":
-        if "b" not in spec:
-            errs.append("mechanism noisy_max requires b")
-        else:
-            _check_number(spec["b"], "mechanism.b (Laplace scale; the truthfulness analysis needs b >= 4)", errs, low=4.0)
-    if mtype == "point_per_round" and spec.get("g") not in ("scaled_quadratic",):
-        errs.append("mechanism point_per_round requires g = 'scaled_quadratic'")
-
-
-def _validate_setting(spec, command: str, errs: list[str]) -> None:
-    if not isinstance(spec, dict):
-        errs.append(f"setting must be an object, got {spec!r}")
-        return
-    before = len(errs)
-    gen = spec.get("generator")
-    if "beliefs" in spec or "theta" in spec:
-        if command == "estimate-complexity":
-            errs.append("estimate-complexity needs a generator-based setting (m varies per probe)")
-        unknown = set(spec) - {"beliefs", "theta"}
-        if unknown:
-            errs.append(f"unknown inline-setting keys: {sorted(unknown)}")
-        if "beliefs" not in spec or "theta" not in spec:
-            errs.append("inline settings need both beliefs and theta")
-    elif gen not in _GENERATOR_KEYS:
-        errs.append(f"setting.generator must be one of {sorted(_GENERATOR_KEYS)}, got {gen!r}")
-    else:
-        unknown = set(spec) - _GENERATOR_KEYS[gen] - {"generator", "n", "m", "setting_seed"}
-        if unknown:
-            errs.append(f"unknown setting keys for {gen}: {sorted(unknown)}")
-        if "n" not in spec:
-            errs.append("setting requires n")
-        else:
-            _check_number(spec["n"], "setting.n", errs, low=2, integer=True)
-        if command == "run" and "m" not in spec:
-            errs.append("run requires setting.m")
-        if "m" in spec:
-            _check_number(spec["m"], "setting.m", errs, low=1, integer=True)
-        if "setting_seed" in spec:
-            _check_number(spec["setting_seed"], "setting.setting_seed", errs, low=0, integer=True)
-        for key in ("gap", "epsilon", "theta_low"):
-            if key in spec:
-                _check_number(spec[key], f"setting.{key}", errs)
-    if len(errs) == before:
-        # the library's own preconditions (a generated setting is built at m=1)
-        try:
-            _build_setting(spec, 0, m_override=None if gen is None else 1)
-        except (ValueError, TypeError) as exc:
-            errs.append(f"setting: {exc}")
-
-
-def _validate_params(command: str, params, errs: list[str]) -> None:
-    if not isinstance(params, dict):
-        errs.append(f"params must be an object, got {params!r}")
-        return
-    unknown = set(params) - _PARAM_KEYS[command]
-    if unknown:
-        errs.append(f"unknown params for {command}: {sorted(unknown)}")
-    if "epsilon" in params:
-        _check_number(params["epsilon"], "params.epsilon", errs, low=0.0, low_open=True, high=1.0)
-    if "delta" in params:
-        _check_number(params["delta"], "params.delta", errs, low=0.0, low_open=True, high=1.0)
-    if "pull" in params:
-        _check_number(params["pull"], "params.pull", errs, low=0.0, high=1.0)
-    for key in ("n", "m", "contexts", "T", "m_cap", "samples", "dim"):
-        if key in params:
-            _check_number(params[key], f"params.{key}", errs, low=1, integer=True)
-    if "radius" in params:
-        _check_number(params["radius"], "params.radius", errs, low=0.0, low_open=True)
-    if "eta" in params and params["eta"] != "auto":
-        _check_number(params["eta"], "params.eta", errs, low=0.0, low_open=True)
-    if "strategies" in params and params["strategies"] not in (
-        "truthful",
-        "extremizer",
-        "round_local_best_response",
-    ):
-        errs.append(
-            "params.strategies must be truthful, extremizer, or round_local_best_response, "
-            f"got {params['strategies']!r}"
-        )
-    if "regularizer" in params and params["regularizer"] not in ("negative_entropy", "l2"):
-        errs.append(f"params.regularizer must be negative_entropy or l2, got {params['regularizer']!r}")
-    if "variants" in params:
-        variants = params["variants"]
-        if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
-            errs.append(f"params.variants must be a list of strings, got {variants!r}")
-        elif any(v not in _BOUND_VARIANTS for v in variants):
-            errs.append(f"unknown bound variants: {[v for v in variants if v not in _BOUND_VARIANTS]}")
-    for key in ("ns", "epsilons"):
-        if key in params and (not isinstance(params[key], list) or not params[key]):
-            errs.append(f"params.{key} must be a nonempty list")
-    if isinstance(params.get("ns"), list):
-        for k, n in enumerate(params["ns"]):
-            _check_number(n, f"params.ns[{k}]", errs, low=2, integer=True)
-    if command == "bounds-table":
-        for key in ("ns", "epsilons", "delta"):
-            if key not in params:
-                errs.append(f"bounds-table requires params.{key}")
-    if command == "truthfulness-sweep":
-        for key in ("n", "m", "contexts"):
-            if key not in params:
-                errs.append(f"truthfulness-sweep requires params.{key}")
-    if command == "online-regret":
-        for key in ("T", "n"):
-            if key not in params:
-                errs.append(f"online-regret requires params.{key}")
-    if command == "lower-bound-demo" and "n" not in params:
-        errs.append("lower-bound-demo requires params.n")
-    if command == "condition-check":
-        for key in ("regularizer", "samples", "radius"):
-            if key not in params:
-                errs.append(f"condition-check requires params.{key}")
-    if command == "estimate-complexity":
-        for key in ("epsilon", "delta"):
-            if key not in params:
-                errs.append(f"estimate-complexity requires params.{key}")
-    if command == "run" and "epsilon" not in params:
-        errs.append("run requires params.epsilon")
-
-
-_NEEDS_MECHANISM = {"run", "estimate-complexity", "truthfulness-sweep"}
-_NEEDS_SETTING = {"run", "estimate-complexity"}
-
-
-def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config.
-
-    Args:
-        text: JSON document.
-        command: subcommand selected on the CLI; must match the config's own
-            ``command`` key when both are present.
-
-    Raises:
-        ConfigError: carrying every violation found, not just the first.
-    """
-    return _validated(_decode(text), command)
-
-
-def _decode(text: str) -> dict:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if not isinstance(data, dict):
-        raise ConfigError(["config must be a JSON object"])
-    return data
-
-
-def _validated(data: dict, command: str | None) -> ExperimentConfig:
-    errs: list[str] = []
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        errs.append(f"unknown top-level keys: {sorted(unknown)}")
-
-    cfg_command = data.get("command", command)
-    if cfg_command is None:
-        errs.append("no command given (config key 'command' or CLI subcommand)")
-    elif cfg_command not in COMMANDS:
-        errs.append(f"unknown command {cfg_command!r}; known: {list(COMMANDS)}")
-    elif command is not None and cfg_command != command:
-        errs.append(f"config command {cfg_command!r} conflicts with CLI subcommand {command!r}")
-
-    if "seed" in data:
-        _check_number(data["seed"], "seed", errs, low=0, integer=True)
-    if "trials" in data:
-        _check_number(data["trials"], "trials", errs, low=1, integer=True)
-    if "threads" in data:
-        _check_number(data["threads"], "threads", errs, low=1, integer=True)
-    if "out" in data and not isinstance(data["out"], str):
-        errs.append(f"out must be a string path, got {data['out']!r}")
-
-    if cfg_command in COMMANDS:
-        if "mechanism" in data:
-            _validate_mechanism(data["mechanism"], errs)
-        elif cfg_command in _NEEDS_MECHANISM:
-            errs.append(f"{cfg_command} requires a mechanism")
-        if "setting" in data:
-            _validate_setting(data["setting"], cfg_command, errs)
-        elif cfg_command in _NEEDS_SETTING:
-            errs.append(f"{cfg_command} requires a setting")
-        _validate_params(cfg_command, data.get("params", {}), errs)
-
-    if errs:
-        raise ConfigError(errs)
-    return ExperimentConfig(
-        command=cfg_command,
-        mechanism=data.get("mechanism"),
-        setting=data.get("setting"),
-        params=data.get("params", {}),
-        seed=data.get("seed"),
-        trials=data.get("trials"),
-        threads=data.get("threads", 1),
-        out=data.get("out"),
-    )
+    defaults = vars(ExperimentConfig(cfg.command))
+    return {key: value for key, value in vars(cfg).items() if key == "command" or value != defaults[key]}
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Vocabularies and their builders
 # ---------------------------------------------------------------------------
 
-def _build_mechanism(spec: dict, n: int | None = None) -> MechanismConfig:
-    mtype = spec["type"]
-    if mtype == "simple_max":
-        return SimpleMax()
-    if mtype == "elf":
-        return Elf()
-    if mtype == "mw":
-        return MultWeights(eta=float(spec["eta"]))
-    if mtype == "ftrl":
-        return Ftrl(
-            regularizer=regularizer_by_name(spec.get("regularizer", "negative_entropy")),
-            eta=float(spec["eta"]),
-        )
-    if mtype == "noisy_max":
-        return ReportNoisyMax(b=float(spec["b"]))
-    if mtype == "point_per_round":
-        if n is None:
-            raise ValueError("point_per_round needs the setting's n to scale its scoring rule")
-        return PointPerRound(g=lambda r, y: (1.0 - (y - r) ** 2) / n, range_length=1.0 / n)
-    raise ValueError(f"unknown mechanism type {mtype!r}")
+def _point_per_round(spec: dict, n: int) -> PointPerRound:
+    if spec["g"] != "scaled_quadratic":
+        raise ValueError(f"point_per_round needs g = 'scaled_quadratic', got {spec['g']!r}")
+    if not n >= 1:
+        raise ValueError(f"point_per_round scales its rule by 1/n and needs n >= 1, got {n}")
+    return PointPerRound(g=lambda r, y: (1.0 - (y - r) ** 2) / n, range_length=1.0 / n)
+
+
+def _ftrl(spec: dict, n: int) -> Ftrl:
+    return Ftrl(regularizer=regularizer_by_name(spec.get("regularizer", NEG_ENTROPY.name)), eta=float(spec["eta"]))
+
+
+# mechanism type -> (required keys, optional keys, builder(spec, n))
+_MECHANISMS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[[dict, int], MechanismConfig]]] = {
+    "simple_max": ((), (), lambda spec, n: SimpleMax()),
+    "elf": ((), (), lambda spec, n: Elf()),
+    "mw": (("eta",), (), lambda spec, n: MultWeights(eta=float(spec["eta"]))),
+    "ftrl": (("eta",), ("regularizer",), _ftrl),
+    "noisy_max": (("b",), (), lambda spec, n: ReportNoisyMax(b=float(spec["b"]))),
+    "point_per_round": (("g",), (), _point_per_round),
+}
+
+# setting generator -> (its own optional keys, builder(spec, n, m, setting seed))
+_GENERATORS: dict[str, tuple[tuple[str, ...], Callable[[dict, int, int, int], CompetitionSetting]]] = {
+    "random": ((), lambda spec, n, m, sseed: random_setting(n, m, sseed)),
+    "perfect_vs_terrible": ((), lambda spec, n, m, sseed: perfect_vs_terrible_setting(n, m)),
+    "gap": (("gap", "theta_low"), lambda spec, n, m, sseed: gap_setting(
+        n, m, float(spec.get("gap", 0.32)), sseed, float(spec.get("theta_low", 0.2)))),
+    "near_tie": (("epsilon", "theta_low"), lambda spec, n, m, sseed: near_tie_setting(
+        n, m, float(spec.get("epsilon", 0.2)), sseed, float(spec.get("theta_low", 0.1)))),
+    "identical": ((), lambda spec, n, m, sseed: identical_beliefs_setting(n, m, sseed)),
+}
+
+# strategy preset -> its strategy, given the extremizer's pull (each command
+# offers some of them, see _COMMANDS)
+_PRESETS: dict[str, Callable[[float], object]] = {
+    "truthful": lambda pull: Truthful(),
+    "extremizer": lambda pull: Extremizer(pull=pull),
+    "round_local_best_response": lambda pull: BestResponse(mode="round_local"),
+    "myopic_best_response": lambda pull: MyopicBestResponse(),
+}
+
+# A mechanism type that names a published bound is its own bound variant.
+_BOUND_VARIANTS = ("simple_max", "elf", "elf_proof", "mw", "noisy_max")
+
+
+def _build_mechanism(spec: dict, n: int) -> MechanismConfig:
+    return _MECHANISMS[spec["type"]][2](spec, n)
 
 
 def _build_setting(spec: dict, master_seed: int, m_override: int | None = None) -> CompetitionSetting:
     if "beliefs" in spec:
+        if m_override is not None:
+            raise ValueError("an inline setting has a fixed m; a search over m needs a generator-based setting")
         return CompetitionSetting(
             as_probabilities(np.array(spec["beliefs"], dtype=float), "beliefs"),
             as_probabilities(np.array(spec["theta"], dtype=float), "theta"),
         )
-    gen = spec["generator"]
-    n = int(spec["n"])
+    if m_override is None and "m" not in spec:
+        raise ValueError("a generated setting needs m (only estimate-complexity chooses m itself)")
     m = int(m_override if m_override is not None else spec["m"])
     sseed = int(spec.get("setting_seed", derive_seed(master_seed, 7)))
-    if gen == "random":
-        return random_setting(n, m, sseed)
-    if gen == "perfect_vs_terrible":
-        return perfect_vs_terrible_setting(n, m)
-    if gen == "gap":
-        return gap_setting(n, m, float(spec.get("gap", 0.32)), sseed, float(spec.get("theta_low", 0.2)))
-    if gen == "near_tie":
-        return near_tie_setting(n, m, float(spec.get("epsilon", 0.2)), sseed, float(spec.get("theta_low", 0.1)))
-    if gen == "identical":
-        return identical_beliefs_setting(n, m, sseed)
-    raise ValueError(f"unknown setting generator {gen!r}")
+    return _GENERATORS[spec["generator"]][1](spec, int(spec["n"]), m, sseed)
 
 
-def _build_strategies(params: dict, n: int) -> list[AgentStrategy]:
-    kind = params.get("strategies", "truthful")
-    if kind == "truthful":
-        return [Truthful()] * n
-    if kind == "extremizer":
-        return [Extremizer(pull=float(params.get("pull", 0.1)))] * n
-    if kind == "round_local_best_response":
-        return [BestResponse(mode="round_local")] * n
-    raise ValueError(f"unknown strategies preset {kind!r}")
+def _build_strategies(params: dict, n: int, pull: float = 0.1) -> list[AgentStrategy]:
+    make = _PRESETS[params.get("strategies", "truthful")]
+    return [make(float(params.get("pull", pull)))] * n
+
+
+def _bound(variant: str, n: int, epsilon: float, delta: float, gamma: float | None = None) -> int | None:
+    """theoretical_bounds, or None where the variant has no bound at this n
+    (the elf bounds start at n = 3; other mechanism types have none)."""
+    if variant not in _BOUND_VARIANTS or (variant in ("elf", "elf_proof") and n < 3):
+        return None
+    return theoretical_bounds(variant, n, epsilon, delta, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +229,37 @@ def _write_outputs(
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommands: a handler, and a check that builds the smallest instance
 # ---------------------------------------------------------------------------
 
-def _cmd_run(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
+_Result = tuple[list[str], list[list], dict]
+
+
+def _attempt(errs: list[str], build: Callable, *inputs):
+    """build(*inputs), recording what the library refuses as a violation.
+
+    Returns None when it refused, or when an input is None (an earlier step
+    or the section's own checks failed, and have said so already).
+    """
+    if any(value is None for value in inputs):
+        return None
+    try:
+        return build(*inputs)
+    except (ValueError, TypeError) as exc:
+        errs.append(str(exc))
+        return None
+
+
+def _check_players(cfg: ExperimentConfig, setting: CompetitionSetting | None, errs: list[str]) -> tuple:
+    n = setting.n if setting is not None else 2
+    return _attempt(errs, _build_mechanism, cfg.mechanism, n), _attempt(errs, _build_strategies, cfg.params, n)
+
+
+def _cmd_run(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
     setting = _build_setting(cfg.setting, seed)
     mechanism = _build_mechanism(cfg.mechanism, setting.n)
     strategies = _build_strategies(cfg.params, setting.n)
     epsilon = float(cfg.params["epsilon"])
-    trials = cfg.trials if cfg.trials is not None else 100
     accuracies = setting.accuracies()
     good = setting.epsilon_optimal(epsilon)
     # Every strategy the CLI offers is deterministic, so one report matrix
@@ -528,14 +284,19 @@ def _cmd_run(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], d
     return ["trial", "winner", "winner_accuracy", "winner_eps_optimal"], rows, summary
 
 
-def _cmd_estimate_complexity(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
+def _check_run(cfg: ExperimentConfig, errs: list[str]) -> None:
+    setting = _attempt(errs, _build_setting, cfg.setting, 0)
+    mechanism, strategies = _check_players(cfg, setting, errs)
+    _attempt(errs, build_reports, strategies, None if setting is None else setting.beliefs[:, :1], mechanism)
+
+
+def _cmd_estimate_complexity(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
     spec = cfg.setting
     n = int(spec["n"])
     mechanism = _build_mechanism(cfg.mechanism, n)
     strategies = _build_strategies(cfg.params, n)
     epsilon = float(cfg.params["epsilon"])
     delta = float(cfg.params["delta"])
-    trials = cfg.trials if cfg.trials is not None else 200
     estimate = estimate_event_complexity(
         mechanism,
         lambda m: _build_setting(spec, seed, m_override=m),
@@ -547,61 +308,65 @@ def _cmd_estimate_complexity(cfg: ExperimentConfig, seed: int) -> tuple[list[str
         m_cap=int(cfg.params.get("m_cap", 1 << 20)),
         threads=cfg.threads,
     )
-    rows = [
-        [p.m, p.trials, p.successes, p.rate, p.lower, p.upper, p.decided, p.passed]
-        for p in estimate.probes
-    ]
+    rows = [[p.m, p.trials, p.successes, p.rate, p.lower, p.upper, p.decided, p.passed] for p in estimate.probes]
     summary = estimate.to_dict()
-    variant = {"SimpleMax": "simple_max", "Elf": "elf", "MultWeights": "mw", "ReportNoisyMax": "noisy_max"}.get(
-        estimate.mechanism
-    )
-    if variant is not None and (variant != "elf" or n >= 3):
-        summary["theoretical_bound"] = theoretical_bounds(variant, n, epsilon, delta)
-    return (
-        ["m", "trials", "successes", "rate", "wilson_lower", "wilson_upper", "decided", "passed"],
-        rows,
-        summary,
-    )
+    bound = _bound(cfg.mechanism["type"], n, epsilon, delta)
+    if bound is not None:
+        summary["theoretical_bound"] = bound
+    return ["m", "trials", "successes", "rate", "wilson_lower", "wilson_upper", "decided", "passed"], rows, summary
 
 
-def _cmd_truthfulness_sweep(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
+def _check_estimate_complexity(cfg: ExperimentConfig, errs: list[str]) -> None:
+    def smallest_search(setting, mechanism, strategies):
+        epsilon, delta = float(cfg.params["epsilon"]), float(cfg.params["delta"])
+        family = lambda m: _build_setting(cfg.setting, 0, m_override=m)  # noqa: E731
+        try:
+            estimate_event_complexity(mechanism, family, strategies, epsilon, delta, 1, 0, m_cap=1)
+        except RuntimeError:
+            pass  # m = 1 failed its probe and the cap ended the search: an outcome, not a config error
+        _bound(cfg.mechanism["type"], setting.n, epsilon, delta)  # the summary's bound
+
+    setting = _attempt(errs, _build_setting, cfg.setting, 0, 1)
+    _attempt(errs, smallest_search, setting, *_check_players(cfg, setting, errs))
+
+
+def _cmd_truthfulness_sweep(cfg: ExperimentConfig, seed: int, trials: int | None) -> _Result:
     n = int(cfg.params["n"])
     mechanism = _build_mechanism(cfg.mechanism, n)
     report = truthfulness_gap_sweep(
-        mechanism,
-        n=n,
-        m=int(cfg.params["m"]),
-        num_contexts=int(cfg.params["contexts"]),
-        seed=seed,
+        mechanism, n=n, m=int(cfg.params["m"]), num_contexts=int(cfg.params["contexts"]), seed=seed
     )
     rows = [[k, gap] for k, gap in enumerate(report.gaps)]
     return ["context", "gap"], rows, report.to_dict()
 
 
-def _cmd_online_regret(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
-    n = int(cfg.params["n"])
-    T = int(cfg.params["T"])
-    eta = cfg.params.get("eta", "auto")
-    eta = math.sqrt(math.log(n) / (10.0 * T)) if eta == "auto" else float(eta)
-    trials = cfg.trials if cfg.trials is not None else 20
-    kind = cfg.params.get("strategies", "truthful")
-    if kind == "truthful":
-        strategies = [Truthful()] * n
-    elif kind == "extremizer":
-        strategies = [Extremizer(pull=float(cfg.params.get("pull", min(1.0, 4.0 * eta))))] * n
-    else:
-        strategies = [MyopicBestResponse()] * n
-    bound = regret_bound("mw", T, n) if T >= 8 else None
+def _check_truthfulness_sweep(cfg: ExperimentConfig, errs: list[str]) -> None:
+    mechanism = _attempt(errs, _build_mechanism, cfg.mechanism, 2 if cfg.params is None else cfg.params["n"])
+    _attempt(errs, lambda mech, p: truthfulness_gap_sweep(mech, p["n"], p["m"], 0, 0), mechanism, cfg.params)
 
+
+_ONLINE_PREFERENCE = OnlinePreference("myopic")
+
+
+def _online(params: dict) -> tuple:
+    """n, T, learning rate, strategies and regret bound of an online-regret config."""
+    n, T = int(params["n"]), int(params["T"])
+    eta = params.get("eta", "auto")
+    eta = mw_tuned_eta(T, n) if eta == "auto" else float(eta)
+    # online_run refuses an eta <= 0 with its own message; the pull stays in [0, 1]
+    strategies = _build_strategies(params, n, pull=min(1.0, max(0.0, 4.0 * eta)))
+    return n, T, eta, strategies, regret_bound("mw", T, n) if T >= 8 else None
+
+
+def _cmd_online_regret(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
+    n, T, eta, strategies, bound = _online(cfg.params)
     rows = []
     worst = -math.inf
     for k in range(trials):
         rng = np.random.default_rng(derive_seed(seed, 11, k))
         beliefs = rng.random((n, T))
         theta = rng.random(T)
-        trace = online_run(
-            beliefs, theta, strategies, OnlinePreference("myopic"), NEG_ENTROPY, eta, derive_seed(seed, 12, k)
-        )
+        trace = online_run(beliefs, theta, strategies, _ONLINE_PREFERENCE, NEG_ENTROPY, eta, derive_seed(seed, 12, k))
         worst = max(worst, trace.regret)
         rows.append([k, trace.regret, bound if bound is not None else "", bound is None or trace.regret <= bound])
     summary = {
@@ -617,12 +382,19 @@ def _cmd_online_regret(cfg: ExperimentConfig, seed: int) -> tuple[list[str], lis
     return ["trial", "regret", "bound", "within_bound"], rows, summary
 
 
-def _cmd_lower_bound_demo(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
+def _check_online_regret(cfg: ExperimentConfig, errs: list[str]) -> None:
+    def smallest_run(online):
+        n, _, eta, strategies, _ = online
+        online_run(np.full((n, 1), 0.5), np.full(1, 0.5), strategies, _ONLINE_PREFERENCE, NEG_ENTROPY, eta, 0)
+
+    _attempt(errs, smallest_run, _attempt(errs, _online, cfg.params))
+
+
+def _cmd_lower_bound_demo(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
     n = int(cfg.params["n"])
     m = math.ceil(n / 4.0 * math.log(n))
     setting = perfect_vs_terrible_setting(n, m)
     strategies = [Truthful()] * n
-    trials = cfg.trials if cfg.trials is not None else 2000
     epsilon = 0.5
     rows = []
     rates = {}
@@ -644,84 +416,276 @@ def _cmd_lower_bound_demo(cfg: ExperimentConfig, seed: int) -> tuple[list[str], 
     return ["mechanism", "n", "m", "trials", "success_rate", "wilson_lower", "wilson_upper"], rows, summary
 
 
-def _cmd_condition_check(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
-    reg = regularizer_by_name(cfg.params["regularizer"])
-    report = condition_check(
-        reg,
-        sample_count=int(cfg.params["samples"]),
-        domain_radius=float(cfg.params["radius"]),
+def _condition_report(params: dict, seed: int, samples: int):
+    return condition_check(
+        regularizer_by_name(params["regularizer"]),
+        sample_count=samples,
+        domain_radius=float(params["radius"]),
         rng_seed=seed,
-        dim=int(cfg.params.get("dim", 2)),
+        dim=int(params.get("dim", 2)),
     )
-    rows = [
-        [
-            report.regularizer,
-            report.dim,
-            report.domain_radius,
-            report.sample_count,
-            report.empirical_alpha,
-            report.empirical_beta,
-            report.strict_convexity_ok,
-            report.passed,
-        ]
-    ]
-    header = [
-        "regularizer",
-        "dim",
-        "radius",
-        "samples",
-        "empirical_alpha",
-        "empirical_beta",
-        "strict_convexity_ok",
-        "passed",
-    ]
-    return header, rows, report.to_dict()
 
 
-def _cmd_bounds_table(cfg: ExperimentConfig, seed: int) -> tuple[list[str], list[list], dict]:
-    ns = [int(v) for v in cfg.params["ns"]]
-    epsilons = [float(v) for v in cfg.params["epsilons"]]
-    delta = float(cfg.params["delta"])
-    variants = cfg.params.get("variants", list(_BOUND_VARIANTS))
-    gamma = cfg.params.get("gamma")
+def _cmd_condition_check(cfg: ExperimentConfig, seed: int, trials: int | None) -> _Result:
+    r = _condition_report(cfg.params, seed, int(cfg.params["samples"]))
+    header = ["regularizer", "dim", "radius", "samples", "empirical_alpha", "empirical_beta", "strict_convexity_ok",
+              "passed"]
+    row = [r.regularizer, r.dim, r.domain_radius, r.sample_count, r.empirical_alpha, r.empirical_beta,
+           r.strict_convexity_ok, r.passed]
+    return header, [row], r.to_dict()
+
+
+def _bounds_rows(params: dict) -> tuple[list[str], list[list]]:
+    epsilons = [float(v) for v in params["epsilons"]]
+    delta = float(params["delta"])
+    variants = params.get("variants", list(_BOUND_VARIANTS))
     rows = []
-    for n in ns:
+    for n in (int(v) for v in params["ns"]):
         for eps in epsilons:
-            row = [n, eps, delta]
-            for variant in variants:
-                if variant in ("elf", "elf_proof") and n < 3:
-                    row.append("")
-                else:
-                    row.append(
-                        theoretical_bounds(variant, n, eps, delta, gamma if variant == "noisy_max" else None)
-                    )
-            rows.append(row)
-    summary = {
-        "command": "bounds-table",
-        "delta": delta,
-        "variants": variants,
-        "rows": len(rows),
-    }
+            bounds = [_bound(variant, n, eps, delta, params.get("gamma")) for variant in variants]
+            rows.append([n, eps, delta, *("" if b is None else b for b in bounds)])
+    return variants, rows
+
+
+def _cmd_bounds_table(cfg: ExperimentConfig, seed: int, trials: int | None) -> _Result:
+    variants, rows = _bounds_rows(cfg.params)
+    summary = {"command": "bounds-table", "delta": float(cfg.params["delta"]), "variants": variants, "rows": len(rows)}
     return ["n", "epsilon", "delta", *variants], rows, summary
 
 
-_HANDLERS: dict[str, Callable[[ExperimentConfig, int], tuple[list[str], list[list], dict]]] = {
-    "run": _cmd_run,
-    "estimate-complexity": _cmd_estimate_complexity,
-    "truthfulness-sweep": _cmd_truthfulness_sweep,
-    "online-regret": _cmd_online_regret,
-    "lower-bound-demo": _cmd_lower_bound_demo,
-    "condition-check": _cmd_condition_check,
-    "bounds-table": _cmd_bounds_table,
+@dataclass(frozen=True)
+class _Command:
+    handler: Callable[[ExperimentConfig, int, int | None], _Result]
+    check: Callable[[ExperimentConfig, list[str]], None]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    sections: tuple[str, ...] = ()  # the config sections it reads, besides params
+    trials: int | None = None  # default trial count
+    presets: tuple[str, ...] = ()  # the strategy presets it offers
+
+
+def _on_params(build: Callable[[dict], object]) -> Callable[[ExperimentConfig, list[str]], None]:
+    """The check of a command whose smallest instance is build(params)."""
+    return lambda cfg, errs: _attempt(errs, build, cfg.params)
+
+
+_COMPETITION = ("mechanism", "setting")
+_COMPETITION_PRESETS = ("truthful", "extremizer", "round_local_best_response")
+
+_COMMANDS: dict[str, _Command] = {
+    "run": _Command(
+        _cmd_run, _check_run, ("epsilon",), ("strategies", "pull"), _COMPETITION, 100, _COMPETITION_PRESETS
+    ),
+    "estimate-complexity": _Command(
+        _cmd_estimate_complexity, _check_estimate_complexity, ("epsilon", "delta"), ("m_cap", "strategies", "pull"),
+        _COMPETITION, 200, _COMPETITION_PRESETS,
+    ),
+    "truthfulness-sweep": _Command(
+        _cmd_truthfulness_sweep, _check_truthfulness_sweep, ("n", "m", "contexts"), sections=("mechanism",)
+    ),
+    "online-regret": _Command(
+        _cmd_online_regret, _check_online_regret, ("T", "n"), ("eta", "strategies", "pull"), trials=20,
+        presets=("truthful", "extremizer", "myopic_best_response"),
+    ),
+    "lower-bound-demo": _Command(
+        _cmd_lower_bound_demo, _on_params(lambda p: perfect_vs_terrible_setting(p["n"], 1)), ("n",), trials=2000
+    ),
+    "condition-check": _Command(
+        _cmd_condition_check, _on_params(lambda p: _condition_report(p, 0, min(p["samples"], 1))),
+        ("regularizer", "samples", "radius"), ("dim",),
+    ),
+    "bounds-table": _Command(
+        _cmd_bounds_table, _on_params(_bounds_rows), ("ns", "epsilons", "delta"), ("variants", "gamma")
+    ),
 }
 
+
+# ---------------------------------------------------------------------------
+# Parsing
+# ---------------------------------------------------------------------------
+
+def _check_number(value, name: str, errs: list[str], *, low=None, high=None, low_open=False, integer=False) -> None:
+    if integer and (not isinstance(value, int) or isinstance(value, bool)):
+        errs.append(f"{name} must be an integer, got {value!r}")
+        return
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        errs.append(f"{name} must be a number, got {value!r}")
+        return
+    if low is not None and (value <= low if low_open else value < low):
+        op = ">" if low_open else ">="
+        errs.append(f"{name} must be {op} {low}, got {value}")
+    if high is not None and value > high:
+        errs.append(f"{name} must be <= {high}, got {value}")
+
+
+def _number(**bounds) -> Callable[[object, str, list[str]], None]:
+    return lambda value, name, errs: _check_number(value, name, errs, **bounds)
+
+
+def _string(value, name: str, errs: list[str]) -> None:
+    if not isinstance(value, str):
+        errs.append(f"{name} must be a string, got {value!r}")
+
+
+def _list_of(item: Callable, what: str, nonempty: bool = False) -> Callable[[object, str, list[str]], None]:
+    def check(value, name: str, errs: list[str]) -> None:
+        if not isinstance(value, list) or (nonempty and not value):
+            errs.append(f"{name} must be a {'nonempty ' if nonempty else ''}list of {what}, got {value!r}")
+            return
+        for k, entry in enumerate(value):
+            item(entry, f"{name}[{k}]", errs)
+
+    return check
+
+
+def _known(value, name: str, table, errs: list[str]) -> bool:
+    if isinstance(value, str) and value in table:
+        return True
+    errs.append(f"{name} must be one of {list(table)}, got {value!r}")
+    return False
+
+
+_NUMBER = _number()
+
+# top-level keys that a CLI flag of the same name overrides
+_FLAGS = ("seed", "trials", "threads", "out")
+
+# JSON type of every key outside the vocabularies.  The bounds on a value are
+# the library's (checked by building the config), except those of the CLI's
+# own keys: seeds, counts, and the accuracy margin epsilon.
+_TYPES: dict[str, Callable[[object, str, list[str]], None]] = {
+    **dict.fromkeys(("seed", "setting.setting_seed"), _number(integer=True, low=0)),
+    **dict.fromkeys(("trials", "threads", "params.T", "params.contexts", "params.m_cap"), _number(integer=True, low=1)),
+    **dict.fromkeys(
+        ("setting.n", "setting.m", "params.n", "params.m", "params.samples", "params.dim"), _number(integer=True)
+    ),
+    **dict.fromkeys(("mechanism.eta", "mechanism.b", "setting.gap", "setting.epsilon", "setting.theta_low"), _NUMBER),
+    **dict.fromkeys(("params.delta", "params.pull", "params.radius", "params.gamma"), _NUMBER),
+    **dict.fromkeys(("out", "mechanism.regularizer", "mechanism.g", "params.regularizer"), _string),
+    "params.epsilon": _number(low=0.0, low_open=True, high=1.0),
+    "params.eta": lambda value, name, errs: value == "auto" or _NUMBER(value, name, errs),
+    "params.ns": _list_of(_number(integer=True, low=2), "integers", nonempty=True),
+    "params.epsilons": _list_of(_NUMBER, "numbers", nonempty=True),
+    "params.variants": _list_of(lambda v, name, errs: _known(v, name, _BOUND_VARIANTS, errs), "strings"),
+}
+
+
+def _check_keys(obj: dict, section: str, owner: str, required, optional, errs: list[str]) -> bool:
+    """Unknown, missing and mistyped keys of one config section; True when it has none."""
+    before = len(errs)
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        errs.append(f"unknown {section} keys for {owner}: {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            errs.append(f"{owner} requires {section}.{key}")
+    for key in (*required, *optional):
+        name = f"{section}.{key}"
+        if key in obj and name in _TYPES:
+            _TYPES[name](obj[key], name, errs)
+    return len(errs) == before
+
+
+def _check_mechanism(spec: dict, errs: list[str]) -> bool:
+    if not _known(spec.get("type"), "mechanism.type", _MECHANISMS, errs):
+        return False
+    required, optional, _ = _MECHANISMS[spec["type"]]
+    return _check_keys(spec, "mechanism", spec["type"], ("type", *required), optional, errs)
+
+
+def _check_setting(spec: dict, errs: list[str]) -> bool:
+    if "beliefs" in spec or "theta" in spec:
+        return _check_keys(spec, "setting", "an inline setting", ("beliefs", "theta"), (), errs)
+    if not _known(spec.get("generator"), "setting.generator", _GENERATORS, errs):
+        return False
+    optional = ("m", "setting_seed", *_GENERATORS[spec["generator"]][0])
+    return _check_keys(spec, "setting", spec["generator"], ("generator", "n"), optional, errs)
+
+
+def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config.
+
+    Args:
+        text: JSON document.
+        command: subcommand selected on the CLI; must match the config's own
+            ``command`` key when both are present.
+
+    Raises:
+        ConfigError: carrying every violation found, not just the first.
+    """
+    return _validated(_decode(text), command)
+
+
+def _decode(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    if not isinstance(data, dict):
+        raise ConfigError(["config must be a JSON object"])
+    return data
+
+
+def _validated(data: dict, command: str | None) -> ExperimentConfig:
+    errs: list[str] = []
+    unknown = set(data) - {"command", "mechanism", "setting", "params", *_FLAGS}
+    if unknown:
+        errs.append(f"unknown top-level keys: {sorted(unknown)}")
+    for key in _FLAGS:
+        if key in data:
+            _TYPES[key](data[key], key, errs)
+    name = data.get("command", command)
+    if name is None:
+        raise ConfigError([*errs, "no command given (config key 'command' or CLI subcommand)"])
+    if not _known(name, "command", _COMMANDS, errs):
+        raise ConfigError(errs)
+    if command is not None and name != command:
+        errs.append(f"config command {name!r} conflicts with CLI subcommand {command!r}")
+    cmd = _COMMANDS[name]
+
+    # The command's check builds the sections that pass their own checks and
+    # leaves out (as None) those that do not, which have said what is wrong.
+    clean: dict = {}
+    for section, check in (("mechanism", _check_mechanism), ("setting", _check_setting)):
+        if section not in cmd.sections:
+            if section in data:
+                errs.append(f"{name} takes no {section}")
+        elif section not in data:
+            errs.append(f"{name} requires a {section}")
+        elif not isinstance(data[section], dict):
+            errs.append(f"{section} must be an object, got {data[section]!r}")
+        elif check(data[section], errs):
+            clean[section] = data[section]
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        errs.append(f"params must be an object, got {params!r}")
+    else:
+        keys_ok = _check_keys(params, "params", name, cmd.required, cmd.optional, errs)
+        preset_ok = "strategies" not in params or _known(params["strategies"], "params.strategies", cmd.presets, errs)
+        if keys_ok and preset_ok:
+            clean["params"] = params
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the run itself warns, once
+        cmd.check(ExperimentConfig(name, clean.get("mechanism"), clean.get("setting"), clean.get("params")), errs)
+
+    if errs:
+        raise ConfigError(errs)
+    given = {key: data.get(key) for key in ("mechanism", "setting", "seed", "trials", "out")}
+    return ExperimentConfig(command=name, params=params, threads=data.get("threads", 1), **given)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
 
 def dispatch(cfg: ExperimentConfig) -> DispatchResult:
     """Run the configured experiment and write results, summary, and manifest."""
     started = time.monotonic()
     master_seed = cfg.seed if cfg.seed is not None else secrets.randbits(63)
     out_dir = Path(cfg.out or "results")
-    header, rows, summary = _HANDLERS[cfg.command](cfg, master_seed)
+    command = _COMMANDS[cfg.command]
+    trials = cfg.trials if cfg.trials is not None else command.trials
+    header, rows, summary = command.handler(cfg, master_seed, trials)
     summary["master_seed"] = master_seed
     return _write_outputs(out_dir, header, rows, summary, cfg, master_seed, started)
 
@@ -732,7 +696,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Forecasting-competition mechanism experiments (reproducible, seeded).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
@@ -747,7 +711,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 1
     # Flags override the config's keys and are validated with them.
-    flags = {key: getattr(args, key) for key in ("seed", "trials", "threads", "out")}
+    flags = {key: getattr(args, key) for key in _FLAGS}
     flags = {key: value for key, value in flags.items() if value is not None}
     try:
         cfg = _validated({**_decode(text), **flags}, args.command)

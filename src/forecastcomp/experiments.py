@@ -24,6 +24,8 @@ from forecastcomp.agents import (
     Extremizer,
     FixedReport,
     Truthful,
+    _outcome_table,
+    _outcome_weights,
     _Strategy,
     build_reports,
     golden_section_max,
@@ -57,6 +59,7 @@ __all__ = [
     "theoretical_bounds",
     "balls_in_bins_max",
     "online_run",
+    "mw_tuned_eta",
     "regret_bound",
     "entropy_range",
 ]
@@ -139,6 +142,8 @@ def gap_setting(n: int, m: int, gap: float, seed: int, theta_low: float = 0.2) -
     spread = (1.0 - 2.0 * theta_low) ** 2
     if not 0.0 < gap <= spread:
         raise ValueError(f"gap must lie in (0, {spread}] for theta_low={theta_low}")
+    if n < 2:
+        raise ValueError(f"need n >= 2 for a leader and a trailer, got {n}")
     rng = np.random.default_rng(seed)
     theta = np.where(rng.random(m) < 0.5, theta_low, 1.0 - theta_low)
     w = math.sqrt(gap / spread)
@@ -640,9 +645,8 @@ def online_run(
             raise ValueError(
                 f"consistent best response enumerates 2^{horizon} outcome paths; max_horizon is {max_horizon}"
             )
-        paths = ((np.arange(2**horizon)[:, None] >> np.arange(horizon)[None, :]) & 1).astype(float)
-        own = p[i, t : t + horizon]
-        weights = np.prod(paths * own + (1.0 - paths) * (1.0 - own), axis=1)
+        paths = _outcome_table(horizon)
+        weights = _outcome_weights(p[i, t : t + horizon], paths)
         coefs = [preference.coefficient(t + 1, t + k + 2) for k in range(horizon)]
 
         def utility(r: float) -> float:
@@ -706,6 +710,13 @@ def entropy_range(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return math.log(n)
+
+
+def mw_tuned_eta(T: int, n: int) -> float:
+    """The learning rate sqrt(ln n / (10 T)) at which MW attains its regret bound."""
+    if n < 2 or T < 1:
+        raise ValueError(f"the tuned learning rate needs n >= 2 and T >= 1, got n={n}, T={T}")
+    return math.sqrt(math.log(n) / (10.0 * T))
 
 
 def regret_bound(

@@ -450,7 +450,7 @@ def elf_winner_law(reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) 
 def _warn_if_eta_outside_truthful_range(eta: float, reg: Regularizer) -> None:
     if reg.declared is None:
         return
-    limit = min(reg.declared.alpha / 2.0, 1.0 / reg.declared.beta)
+    limit = reg.declared.eta_ceiling
     if eta >= limit:
         warnings.warn(
             f"eta={eta} is outside the approximate-truthfulness range "
@@ -472,7 +472,7 @@ class Ftrl(_TotalsMechanism):
 
     def __post_init__(self) -> None:
         if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+            raise ValueError(f"eta must be > 0, got {self.eta}")
         _warn_if_eta_outside_truthful_range(self.eta, self.regularizer)
 
     def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
@@ -507,7 +507,7 @@ class MultWeights(Ftrl):
     # and the curvature-level min(alpha/2, 1/beta).
     eta_ceilings: ClassVar[dict] = {
         "eta_threshold_strict": 0.25,
-        "eta_threshold_curvature": min(NEG_ENTROPY.declared.alpha / 2.0, 1.0 / NEG_ENTROPY.declared.beta),
+        "eta_threshold_curvature": NEG_ENTROPY.declared.eta_ceiling,
     }
 
 

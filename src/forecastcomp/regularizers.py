@@ -69,6 +69,11 @@ class CurvatureConstants:
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError(f"alpha and beta must be positive, got {self}")
 
+    @property
+    def eta_ceiling(self) -> float:
+        """min(alpha/2, 1/beta): the learning rates below it are approximately truthful."""
+        return min(self.alpha / 2.0, 1.0 / self.beta)
+
 
 @dataclass(frozen=True)
 class Regularizer:

@@ -1,10 +1,16 @@
 """CLI: config validation, dispatch, output files, and determinism."""
 
+import hashlib
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from forecastcomp.cli import ConfigError, main, parse_config, serialize_config
+from forecastcomp import cli
+from forecastcomp.cli import ConfigError, dispatch, main, parse_config, serialize_config
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -21,6 +27,11 @@ MINIMAL_RUN = {
     "seed": 7,
     "trials": 20,
 }
+BOUNDS = {"command": "bounds-table", "params": {"ns": [10], "epsilons": [0.1], "delta": 0.1}}
+
+
+def with_params(data, **params):
+    return dict(data, params=dict(data["params"], **params))
 
 
 class TestParseConfig:
@@ -183,6 +194,20 @@ class TestDispatch:
         assert summary["m_estimate"] >= 1
         assert summary["m_estimate"] <= summary["theoretical_bound"]
 
+    def test_online_myopic_preset_keeps_its_bytes(self, tmp_path):
+        # online-regret always played MyopicBestResponse for its third preset;
+        # these digests are those of the outputs written for this config with
+        # "strategies": "round_local_best_response" before the preset had its
+        # own name (numpy 2.4, x86-64)
+        data = {"command": "online-regret", "params": {"T": 12, "n": 3, "strategies": "myopic_best_response"},
+                "seed": 21, "trials": 2}
+        out = self.run_main(tmp_path, data, "myopic")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("results.csv", "summary.json")}
+        assert digests == {
+            "results.csv": "0a4e837c91756d846b66e6dbabfda9e2afaefb522ce50644aa435fd5fe5373ba",
+            "summary.json": "462ab09f4786975b9f651564ede0f1b1794912897aa1177a6225970488047f8d",
+        }
+
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, MINIMAL_RUN)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -240,8 +265,35 @@ class TestExitCodes:
              "params.ns[0] must be >= 2"),
             (dict(MINIMAL_RUN, setting={"generator": "gap", "n": 3, "m": 4, "gap": 0.9}), "gap must lie in (0, 0.36]"),
             (dict(MINIMAL_RUN, setting={"beliefs": [[0.1, 2.0], [0.3, 0.4]], "theta": [0.5, 0.5]}), "beliefs entries"),
+            (with_params(BOUNDS, delta=1.0), "epsilon and delta must lie in (0, 1), got 0.1, 1.0"),
+            (with_params(BOUNDS, epsilons=[1.0]), "epsilon and delta must lie in (0, 1), got 1.0, 0.1"),
+            (with_params(BOUNDS, gamma=0.5), "gamma must lie in (0, epsilon/14], got 0.5"),
+            (with_params(BOUNDS, epsilons=["a"]), "params.epsilons[0] must be a number, got 'a'"),
+            (with_params(BOUNDS, gamma="x"), "params.gamma must be a number, got 'x'"),
+            ({"command": "estimate-complexity", "mechanism": {"type": "simple_max"},
+              "setting": {"generator": "gap", "n": 4, "gap": 0.32}, "params": {"epsilon": 0.3, "delta": 1.0}},
+             "delta must lie in (0, 1), got 1.0"),
+            ({"command": "lower-bound-demo", "params": {"n": 2}}, "the scenario needs n >= 3, got 2"),
+            ({"command": "online-regret", "params": {"T": 20, "n": 1}}, "the tuned learning rate needs n >= 2"),
+            ({"command": "online-regret", "params": {"T": 20, "n": 3, "strategies": "round_local_best_response"}},
+             "params.strategies must be one of ['truthful', 'extremizer', 'myopic_best_response']"),
+            ({"command": "truthfulness-sweep", "mechanism": {"type": "mw", "eta": 0.05},
+              "params": {"n": 1, "m": 2, "contexts": 1}}, "need n >= 2"),
+            ({"command": "truthfulness-sweep", "mechanism": {"type": "mw", "eta": 0.05},
+              "params": {"n": 3, "m": 30, "contexts": 1}}, "m=30 exceeds the exact enumeration budget 20"),
+            ({"command": "condition-check", "params": {"regularizer": "l2", "samples": 5, "radius": 1.0, "dim": 1}},
+             "dim must be >= 2, got 1"),
+            (with_params(dict(MINIMAL_RUN, mechanism={"type": "elf"}), strategies="round_local_best_response"),
+             "round_local best response needs a regularized-leader mechanism"),
+            (with_params(dict(MINIMAL_RUN, mechanism={"type": "ftrl", "eta": 0.05, "regularizer": "l2"}),
+                         strategies="round_local_best_response"), "regularizer l2 declares no curvature constants"),
+            (with_params(dict(MINIMAL_RUN, mechanism={"type": "mw", "eta": 0.5}), strategies="round_local_best_response"),
+             "eta=0.5 violates the per-round optimum precondition"),
         ],
-        ids=["ns-below-two", "gap-beyond-spread", "inline-belief-above-one"],
+        ids=["ns-below-two", "gap-beyond-spread", "inline-belief-above-one", "bounds-delta-one", "bounds-epsilon-one",
+             "bounds-gamma-too-large", "bounds-epsilon-string", "bounds-gamma-string", "complexity-delta-one",
+             "lower-bound-n-two", "online-n-one", "online-round-local-preset", "sweep-n-one", "sweep-m-over-budget",
+             "condition-dim-one", "round-local-on-elf", "round-local-on-l2", "round-local-eta-too-large"],
     )
     def test_library_preconditions_are_config_errors(self, tmp_path, capsys, data, violation):
         out = tmp_path / "x"
@@ -312,3 +364,141 @@ class TestDeterminismAcrossThreads:
                 (out / "summary.json").read_bytes(),
             )
         assert outputs[1] == outputs[8]
+
+
+# The config boundary: each drawn config is a valid-looking one with up to
+# two keys replaced by an edge value (or removed).  The edge values are tried
+# for every key, beside the numbers just outside the library's bounds on it.
+EDGES = [0, 1, 1.0, -1, "x", True, []]
+# key -> (valid values, values just outside a library bound)
+VALUES = {
+    "seed": ([0, 3], []),
+    "trials": ([1, 3], []),
+    "mechanism.eta": ([0.05, 0.2, 5.0], [0.0, -0.01, 1 / 3]),
+    "mechanism.b": ([4.0, 40.0], [3.999]),
+    "mechanism.regularizer": (["negative_entropy", "l2"], []),
+    "mechanism.g": (["scaled_quadratic"], []),
+    "setting.n": ([2, 3, 4], [1]),
+    "setting.m": ([1, 4], [0]),
+    "setting.setting_seed": ([0, 5], []),
+    "setting.gap": ([0.1, 0.36], [0.0, 0.3601]),
+    "setting.epsilon": ([0.05, 0.18], [0.0, 0.1801]),
+    "setting.theta_low": ([0.1, 0.2], [0.5]),
+    "params.epsilon": ([0.1, 0.5, 1.0], [0.0, 1.0000001]),
+    "params.delta": ([0.1, 0.5], [0.0, 1.0]),
+    "params.strategies": (["truthful", "extremizer", "round_local_best_response", "myopic_best_response"], []),
+    "params.pull": ([0.0, 0.3], [-0.01, 1.01]),
+    "params.m_cap": ([1, 2, 4], []),
+    "params.n": ([2, 3, 4], [1]),
+    "params.m": ([1, 2], [21]),
+    "params.contexts": ([1], []),
+    "params.T": ([1, 8, 10], []),
+    "params.eta": (["auto", 0.05], [0.0, -0.01]),
+    "params.regularizer": (["negative_entropy", "l2"], []),
+    "params.samples": ([1, 5], []),
+    "params.radius": ([0.5, 2.0], [0.0]),
+    "params.dim": ([2, 3], [1]),
+    "params.ns": ([[2, 10], [3]], [[1], [2.5]]),
+    "params.epsilons": ([[0.1], [0.2, 0.5]], [[1.0], ["a"]]),
+    "params.variants": ([["mw", "noisy_max"], ["elf", "elf_proof"], ["simple_max"]], [["bogus"], "mw"]),
+    "params.gamma": ([0.001], [0.1 / 14 + 1e-9, 0.0]),
+}
+MECHANISM_KEYS = {"simple_max": (), "elf": (), "mw": ("eta",), "ftrl": ("eta", "regularizer"), "noisy_max": ("b",),
+                  "point_per_round": ("g",)}
+GENERATOR_KEYS = {"random": (), "perfect_vs_terrible": (), "gap": ("gap", "theta_low"),
+                  "near_tie": ("epsilon", "theta_low"), "identical": ()}
+INLINE = {"beliefs": [[0.2, 0.9], [0.6, 0.1], [0.5, 0.5]], "theta": [0.3, 0.8]}
+# command -> (its sections, required params, optional params); m_cap is
+# always given, so that each search stays tiny
+COMMANDS = {
+    "run": (("mechanism", "setting"), ("epsilon",), ("strategies", "pull")),
+    "estimate-complexity": (("mechanism", "setting"), ("epsilon", "delta", "m_cap"), ("strategies", "pull")),
+    "truthfulness-sweep": (("mechanism",), ("n", "m", "contexts"), ()),
+    "online-regret": ((), ("T", "n"), ("eta", "strategies", "pull")),
+    "lower-bound-demo": ((), ("n",), ()),
+    "condition-check": ((), ("regularizer", "samples", "radius"), ("dim",)),
+    "bounds-table": ((), ("ns", "epsilons", "delta"), ("variants", "gamma")),
+}
+
+
+@st.composite
+def configs(draw):
+    def valid(path):
+        return draw(st.sampled_from(VALUES[path][0]))
+
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    sections, required, optional = COMMANDS[command]
+    params = {k: valid(f"params.{k}") for k in (*required, *optional) if k in required or draw(st.booleans())}
+    data = {"command": command, "seed": valid("seed"), "trials": valid("trials"), "params": params}
+    if "mechanism" in sections:
+        mtype = draw(st.sampled_from(sorted(MECHANISM_KEYS)))
+        data["mechanism"] = {"type": mtype, **{k: valid(f"mechanism.{k}") for k in MECHANISM_KEYS[mtype]}}
+    if "setting" in sections:
+        if draw(st.integers(0, 5)) == 0:
+            data["setting"] = dict(INLINE)
+        else:
+            generator = draw(st.sampled_from(sorted(GENERATOR_KEYS)))
+            keys = ("n", "m", "setting_seed", *GENERATOR_KEYS[generator])
+            data["setting"] = {"generator": generator, **{k: valid(f"setting.{k}") for k in keys}}
+    given = sorted(f"{section}.{k}" for section in ("mechanism", "setting", "params") for k in data.get(section, ()))
+    for _ in range(draw(st.integers(0, 2))):
+        # mostly a key the config has; else any key, which may be unknown here
+        keys = [*given, "seed", "trials"] if draw(st.integers(0, 4)) else sorted(VALUES)
+        path = draw(st.sampled_from([k for k in keys if k in VALUES]))
+        section, _, name = path.rpartition(".")
+        target = data.get(section, {}) if section else data
+        if draw(st.integers(0, 4)):
+            target[name] = draw(st.sampled_from([*VALUES[path][1], *EDGES]))
+        else:
+            target.pop(name, None)
+        if section:
+            data[section] = target
+    # a removed trials or m_cap would mean the default, a large run
+    data.setdefault("trials", 1)
+    if command == "estimate-complexity":
+        data["params"].setdefault("m_cap", 1)
+    return data
+
+
+class TestConfigBoundary:
+    # drawn learning rates outside the truthfulness band warn, as they should
+    @pytest.mark.filterwarnings("ignore:eta=.* is outside the approximate-truthfulness range")
+    @settings(max_examples=1000, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(configs())
+    def test_every_config_is_rejected_or_runs(self, data):
+        # a config the parser accepts must not meet a ValueError or TypeError
+        # of the library in its run; a RuntimeError is a run outcome
+        try:
+            cfg = parse_config(json.dumps(data))
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                dispatch(cli.ExperimentConfig(**{**vars(cfg), "out": out}))
+            except RuntimeError:
+                pass
+
+
+def test_readme_grammar_matches_the_cli_tables():
+    # README's config grammar is the CLI's tables, written out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    grammar = readme[readme.index("### Config grammar") : readme.index("### `results.csv` schemas")]
+
+    def choices(key):
+        line = next(line for line in grammar.splitlines() if f'"{key}": "' in line)
+        return re.findall(r'"(\w+)"', line.split(f'"{key}":')[1])
+
+    assert choices("type") == list(cli._MECHANISMS)
+    assert choices("generator") == list(cli._GENERATORS)
+    rows = [line.split("|")[1:-1] for line in grammar.splitlines() if line.startswith("| ")][1:]
+    table = {
+        cells[0].strip(): (
+            tuple(s.strip() for s in cells[1].split(",") if s.strip()),
+            *(tuple(re.findall(r"`(\w+)`", cell)) for cell in cells[2:]),
+        )
+        for cells in rows
+    }
+    assert table == {
+        name: (c.sections, c.required, c.optional, c.presets) for name, c in cli._COMMANDS.items()
+    }
+    assert {p for c in cli._COMMANDS.values() for p in c.presets} == set(cli._PRESETS)
