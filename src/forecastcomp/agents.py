@@ -186,7 +186,7 @@ def _exact_utility(ctx: StrategicContext, enum_budget: int = DEFAULT_ENUM_BUDGET
     """Expected win probability of agent 0 as a function of their report.
 
     Enumerates all outcome vectors once; the mechanism's utility kernel
-    caches everything that does not depend on the agent's own report.
+    evaluates its law over all of them in one call.
     """
     if ctx.m > enum_budget:
         raise ValueError(
@@ -231,13 +231,8 @@ def expected_win_prob(
             f"m={ctx.m} exceeds the enumeration budget {enum_budget} and no "
             "mc_trials fallback was enabled"
         )
-    rng = np.random.default_rng(seed)
-    stacked = np.vstack([r, ctx.opponent_reports])
-    total = 0.0
-    for _ in range(mc_trials):
-        y = (rng.random(ctx.m) < ctx.own_beliefs).astype(float)
-        total += float(ctx.mechanism.law(stacked, y)[0])
-    return total / mc_trials
+    outcomes = (np.random.default_rng(seed).random((mc_trials, ctx.m)) < ctx.own_beliefs).astype(float)
+    return float(np.mean(ctx.mechanism.law(np.vstack([r, ctx.opponent_reports]), outcomes)[:, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,10 @@ def _build_setting(spec: dict, master_seed: int, m_override: int | None = None) 
 
 
 def _build_strategies(params: dict, n: int, pull: float = 0.1) -> list[AgentStrategy]:
-    make = _PRESETS[params.get("strategies", "truthful")]
-    return [make(float(params.get("pull", pull)))] * n
+    preset = params.get("strategies", "truthful")
+    if "pull" in params and preset != "extremizer":
+        raise ValueError(f"pull is read only by the extremizer preset, got strategies {preset!r}")
+    return [_PRESETS[preset](float(params.get("pull", pull)))] * n
 
 
 def _bound(variant: str, n: int, epsilon: float, delta: float, gamma: float | None = None) -> int | None:

@@ -9,11 +9,13 @@ must pass independent seeds; nothing here touches global RNG state.
 
 Every mechanism is one frozen dataclass with the same interface:
 
-- ``law(reports, outcomes, budget)``: the exact selection law given (R, y);
+- ``law(reports, outcomes, budget)``: the exact selection law given (R, y),
+  (n,) for outcomes (m,) and (B, n) for a (B, m) stack: ``totals_law`` of
+  the (..., n) score totals, or the tally DP over per-event point tables;
 - ``sample(reports, outcomes, seed)``: a sampled :class:`WinnerDraw`;
-- ``utility_kernel(opponent_reports, bits)``: precomputes everything that
-  does not depend on row 0's report and returns a function mapping that
-  report to P(row 0 wins) under each of the 2^m outcome rows of ``bits``;
+- ``utility_kernel(opponent_reports, bits)``: row 0's report to P(row 0
+  wins) under each outcome row of ``bits``, column 0 of ``law`` (negative-
+  entropy FTRL overrides it with a faster sigmoid closed form);
 - ``unimodal``: whether the expected win probability is unimodal in each
   coordinate of one's own report (the best-response solver's certificate);
 - ``truthfulness_band()``: the approximate-truthfulness radius, or None, and
@@ -43,6 +45,7 @@ callers that name a mechanism by function.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -51,7 +54,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from forecastcomp.regularizers import NEG_ENTROPY, Regularizer
-from forecastcomp.scoring import as_outcomes, as_probabilities, score_matrix
+from forecastcomp.scoring import as_outcomes, as_probabilities
 
 __all__ = [
     "RngTrace",
@@ -76,7 +79,6 @@ __all__ = [
     "report_noisy_max_select",
     "noisy_max_win_prob",
     "noisy_max_law",
-    "laplace_cdf",
     "laplace_from_uniform",
     "sample_laplace",
     "sample_winner",
@@ -87,6 +89,7 @@ __all__ = [
 
 DISTRIBUTION_TOL = 1e-10
 DEFAULT_ENUMERATION_BUDGET = 2**20
+_LAW_CHUNK = 256  # outcome rows per evaluation; noisy max holds ~600 nodes per row and forecaster
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -147,15 +150,20 @@ def _validate_reports(reports) -> np.ndarray:
     return r
 
 
+def _scores(r: np.ndarray, outcomes) -> np.ndarray:
+    """(..., n, m) quadratic scores of validated (n, m) reports against (..., m) outcomes."""
+    y = as_outcomes(outcomes)
+    if y.shape[-1] != r.shape[1]:
+        raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
+    return 1.0 - (y[..., None, :] - r) ** 2
+
+
 def score_totals(reports, outcomes) -> np.ndarray:
-    """Total quadratic score per forecaster; zero vector when there are no events."""
+    """Total quadratic score per forecaster, (..., n) for (..., m) outcomes; zeros when m = 0."""
     r = _validate_reports(reports)
     if r.shape[1] == 0:
-        return np.zeros(r.shape[0])
-    y = as_outcomes(outcomes)
-    if y.shape[0] != r.shape[1]:
-        raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
-    return score_matrix(r, y).sum(axis=1)
+        return np.zeros(np.shape(outcomes)[:-1] + (r.shape[0],))
+    return _scores(r, outcomes).sum(axis=-1)
 
 
 def _totals_for_outcomes(reports: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -179,8 +187,8 @@ def sample_winner(distribution, seed: int) -> WinnerDraw:
 
 
 def _argmax_tie_law(totals: np.ndarray) -> np.ndarray:
-    ties = totals == totals.max()
-    return ties / ties.sum()
+    ties = totals == totals.max(axis=-1, keepdims=True)
+    return ties / ties.sum(axis=-1, keepdims=True)
 
 
 def _argmax_draw(values: np.ndarray, seed: int, draws: int, rng: np.random.Generator | None = None) -> WinnerDraw:
@@ -205,13 +213,17 @@ class _Mechanism:
     unimodal: ClassVar[bool] = False
 
     def law(self, reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
-        raise NotImplementedError
+        """The law for outcomes (m,), or each row of a (B, m) stack, by the family's ``_law``."""
+        y = np.asarray(outcomes, dtype=float)
+        if y.ndim < 2 or len(y) <= _LAW_CHUNK:
+            return self._law(reports, y, budget)
+        return np.concatenate([self._law(reports, y[k:k + _LAW_CHUNK], budget) for k in range(0, len(y), _LAW_CHUNK)])
 
     def sample(self, reports, outcomes, seed: int) -> WinnerDraw:
         raise NotImplementedError
 
     def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        raise NotImplementedError
+        return lambda report: self.law(np.vstack([report, opponent_reports]), bits)[:, 0]
 
     def truthfulness_band(self) -> tuple[float | None, dict]:
         return None, {}
@@ -220,27 +232,25 @@ class _Mechanism:
 class _TotalsMechanism(_Mechanism):
     """A mechanism whose law depends on the reports only through score totals."""
 
-    def utility_kernel(self, opponent_reports, bits):
-        own_win = self._own_win_prob(_totals_for_outcomes(opponent_reports, bits))
-        return lambda report: own_win(_totals_for_outcomes(report, bits))
+    def _law(self, reports, outcomes, budget):
+        return self.totals_law(score_totals(reports, outcomes))
 
-    def _own_win_prob(self, opp_totals: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Map row 0's totals (one per outcome row) to its win probabilities,
-        against the fixed (outcomes, n-1) opponent totals."""
+    def totals_law(self, totals: np.ndarray) -> np.ndarray:
+        """Map (..., n) score totals to (..., n) selection laws."""
         raise NotImplementedError
 
 
 class _PointLottery(_Mechanism):
     """One point per event by lottery; the point leader wins, ties uniform.
 
-    Subclasses give ``point_probs(reports, outcomes)``, the (m, n) table of
-    per-event point probabilities.
+    Subclasses give ``point_probs(reports, outcomes)``, the (..., m, n) table
+    of per-event point probabilities for (..., m) outcomes.
     """
 
     def point_probs(self, reports, outcomes) -> np.ndarray:
         raise NotImplementedError
 
-    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
+    def _law(self, reports, outcomes, budget):
         return _tally_dp_law(self.point_probs(reports, outcomes), budget)
 
     def sample(self, reports, outcomes, seed):
@@ -251,13 +261,6 @@ class _PointLottery(_Mechanism):
         points, draws = _tally_points(probs, rng)
         return _argmax_draw(points.astype(float), seed, draws, rng)
 
-    def utility_kernel(self, opponent_reports, bits):
-        def win_probs(report: np.ndarray) -> np.ndarray:
-            stacked = np.vstack([report, opponent_reports])
-            return np.array([self.law(stacked, y)[0] for y in bits])
-
-        return win_probs
-
 
 # ---------------------------------------------------------------------------
 # Simple Max
@@ -267,18 +270,13 @@ class _PointLottery(_Mechanism):
 class SimpleMax(_TotalsMechanism):
     """Select the forecaster with the highest total quadratic score."""
 
-    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
-        return _argmax_tie_law(score_totals(reports, outcomes))
+    def totals_law(self, totals):
+        return _argmax_tie_law(totals)
 
     def sample(self, reports, outcomes, seed):
         """Ties are broken uniformly at random; the returned distribution is
         the exact winner law (point mass, or uniform over the argmax set)."""
         return _argmax_draw(score_totals(reports, outcomes), seed, 0)
-
-    def _own_win_prob(self, opp_totals):
-        best = opp_totals.max(axis=1)
-        ties = np.sum(opp_totals == best[:, None], axis=1)
-        return lambda own: np.where(own > best, 1.0, np.where(own == best, 1.0 / (1.0 + ties), 0.0))
 
 
 def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
@@ -298,20 +296,22 @@ def _lottery_reports(reports) -> np.ndarray:
 
 
 def _rule_point_probs(g: Callable, r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(m, n) table f_ti = 1/n + g(r_it, y_t) - mean over j != i of g(r_jt, y_t),
-    with one call of ``g`` on (n, m) arrays.  A result outside [0, 1] is a hard
-    error carrying the offending entry.
+    """(..., m, n) table f_ti = 1/n + g(r_it, y_t) - mean over j != i of
+    g(r_jt, y_t) for (..., m) outcomes, with one call of ``g`` on (..., n, m)
+    arrays.  A result outside [0, 1] is a hard error carrying the offending entry.
     """
     n, m = r.shape
-    if y.shape[0] != m:
+    if y.shape[-1] != m:
         raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
-    gs = np.ascontiguousarray(np.broadcast_to(g(r, np.broadcast_to(y, r.shape)), r.shape).T, dtype=float)
-    f = 1.0 / n + gs - (gs.sum(axis=1, keepdims=True) - gs) / (n - 1)
+    shape = y.shape[:-1] + r.shape
+    gs = np.broadcast_to(g(np.broadcast_to(r, shape), np.broadcast_to(y[..., None, :], shape)), shape)
+    gs = np.ascontiguousarray(np.swapaxes(gs, -1, -2), dtype=float)
+    f = 1.0 / n + gs - (gs.sum(axis=-1, keepdims=True) - gs) / (n - 1)
     if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
-        t, bad = np.unravel_index(int(np.argmax(np.abs(f - 0.5))), f.shape)
+        *row, t, bad = np.unravel_index(int(np.argmax(np.abs(f - 0.5))), f.shape)
         raise ValueError(
-            f"scoring rule g violates its range budget: event {t}, outcome {int(y[t])}, "
-            f"forecaster {bad} gets point probability {f[t, bad]}"
+            f"scoring rule g violates its range budget: event {t}, outcome {int(y[(*row, t)])}, "
+            f"forecaster {bad} gets point probability {f[(*row, t, bad)]}"
         )
     return np.clip(f, 0.0, 1.0)
 
@@ -325,9 +325,9 @@ class Elf(_PointLottery):
         1/n + (1/n) * (S(r_it, y_t) - mean of the other forecasters' scores);
         entries lie in [0, 2/n] and each row sums to 1."""
         r = _lottery_reports(reports)
-        s = score_matrix(r, outcomes)
-        mean_others = (s.sum(axis=0) - s) / (r.shape[0] - 1)
-        return ((1.0 + s - mean_others) / r.shape[0]).T
+        s = _scores(r, outcomes)
+        mean_others = (s.sum(axis=-2, keepdims=True) - s) / (r.shape[0] - 1)
+        return np.swapaxes((1.0 + s - mean_others) / r.shape[0], -1, -2)
 
 
 @dataclass(frozen=True)
@@ -371,40 +371,48 @@ def _tally_points(point_probs: np.ndarray, rng: np.random.Generator) -> tuple[np
     return np.bincount(idx, minlength=n), m
 
 
+@functools.lru_cache(maxsize=16)
+def _tally_graph(m: int, n: int) -> tuple[list[tuple[int, list[np.ndarray]]], np.ndarray]:
+    """Per event, the tally count after it and, per forecaster, where each tally moves when that
+    forecaster takes the point, tallies in descending lexicographic order; and the final tallies."""
+    level = [(0,) * n]
+    steps = []
+    for _ in range(m):
+        moves = [[s[:i] + (s[i] + 1,) + s[i + 1:] for s in level] for i in range(n)]
+        level = sorted(set().union(*moves), reverse=True)
+        index = {s: k for k, s in enumerate(level)}
+        steps.append((len(level), [np.array([index[s] for s in move]) for move in moves]))
+    return steps, np.array(level)
+
+
 def _tally_dp_law(point_probs: np.ndarray, budget: int) -> np.ndarray:
-    """Exact winner law of a tally-and-argmax mechanism by dynamic programming.
+    """Exact winner law of a tally-and-argmax mechanism by dynamic programming,
+    for an (m, n) point table or each table of a (..., m, n) stack.
 
     Tracks the joint distribution of the point-tally vector across events.
     The state space has at most C(m + n - 1, n - 1) tallies, far below the
-    n^m cost of enumerating point-winner paths.
+    n^m cost of enumerating point-winner paths.  Sums run as in a DP over
+    tallies in the order first reached: by descending forecaster, then by tally.
     """
-    m, n = point_probs.shape
-    est_states = math.comb(m + n - 1, n - 1)
-    est_ops = est_states * n * m
+    *batch, m, n = point_probs.shape
+    est_ops = math.comb(m + n - 1, n - 1) * n * m
     if est_ops > budget:
         raise ValueError(
             f"exact winner law needs ~{est_ops} operations, over budget {budget}; "
             "use mc_winner_law instead"
         )
-    states: dict[tuple[int, ...], float] = {(0,) * n: 1.0}
-    for t in range(m):
-        row = point_probs[t]
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, pr in states.items():
-            for i in range(n):
-                if row[i] == 0.0:
-                    continue
-                key = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-                nxt[key] = nxt.get(key, 0.0) + pr * row[i]
-        states = nxt
-    law = np.zeros(n)
-    for counts, pr in states.items():
-        best = max(counts)
-        ties = [i for i, c in enumerate(counts) if c == best]
-        share = pr / len(ties)
-        for i in ties:
-            law[i] += share
-    return law
+    tables = point_probs.reshape(-1, m, n)
+    steps, tallies = _tally_graph(m, n)
+    probs = np.ones((len(tables), 1))
+    for t, (size, moves) in enumerate(steps):
+        nxt = np.zeros((len(tables), size))
+        for i in reversed(range(n)):
+            nxt[:, moves[i]] += probs * tables[:, t, i, None]
+        probs = nxt
+    ties = tallies == tallies.max(axis=1, keepdims=True)
+    shares = probs / ties.sum(axis=1)
+    law = [np.cumsum(np.where(ties[:, i], shares, 0.0), axis=1)[:, -1] for i in range(n)]
+    return np.stack(law, axis=-1).reshape(*batch, n)
 
 
 def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
@@ -455,7 +463,7 @@ def _warn_if_eta_outside_truthful_range(eta: float, reg: Regularizer) -> None:
         warnings.warn(
             f"eta={eta} is outside the approximate-truthfulness range "
             f"eta < min(alpha/2, 1/beta) = {limit} for {reg.name}",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -475,20 +483,20 @@ class Ftrl(_TotalsMechanism):
             raise ValueError(f"eta must be > 0, got {self.eta}")
         _warn_if_eta_outside_truthful_range(self.eta, self.regularizer)
 
-    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
-        return ftrl_select(reports, outcomes, self.regularizer, self.eta)
+    def totals_law(self, totals):
+        return self.regularizer.conjugate_grad(self.eta * totals)
 
     def sample(self, reports, outcomes, seed):
         return sample_winner(self.law(reports, outcomes), seed)
 
-    def _own_win_prob(self, opp_totals):
-        eta, z = self.eta, self.eta * opp_totals
-        if self.regularizer is NEG_ENTROPY:
-            # law_0 = sigmoid(eta q_0 - log sum_j exp(eta q_j)), stable at any eta
-            zmax = z.max(axis=1)
-            log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
-            return lambda own: 1.0 / (1.0 + np.exp(log_a - eta * own))
-        return lambda own: self.regularizer.conjugate_grad(np.column_stack([eta * own, z]))[:, 0]
+    def utility_kernel(self, opponent_reports, bits):
+        if self.regularizer is not NEG_ENTROPY:
+            return super().utility_kernel(opponent_reports, bits)
+        # law_0 = sigmoid(eta q_0 - logsumexp(eta q)), the opponents' part once: 3x the law's MW sweep rate
+        eta, z = self.eta, self.eta * _totals_for_outcomes(opponent_reports, bits)
+        zmax = z.max(axis=1)
+        log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
+        return lambda own: 1.0 / (1.0 + np.exp(log_a - eta * _totals_for_outcomes(own, bits)))
 
     def truthfulness_band(self):
         declared = self.regularizer.declared
@@ -547,12 +555,6 @@ def sample_laplace(rng: np.random.Generator, b: float) -> float:
     return laplace_from_uniform(float(rng.random()) - 0.5, b)
 
 
-def laplace_cdf(x, b: float) -> np.ndarray:
-    """CDF of the Laplace(0, b) distribution, vectorized."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x < 0.0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
-
-
 @dataclass(frozen=True)
 class ReportNoisyMax(_TotalsMechanism):
     """Argmax of Laplace-perturbed totals; the scale b must be at least 4."""
@@ -565,16 +567,11 @@ class ReportNoisyMax(_TotalsMechanism):
         if not self.b >= 4.0:
             raise ValueError(f"ReportNoisyMax requires b >= 4, got {self.b}")
 
-    def law(self, reports, outcomes, budget=DEFAULT_ENUMERATION_BUDGET):
-        return noisy_max_law(score_totals(reports, outcomes), self.b)
+    def totals_law(self, totals):
+        return noisy_max_law(totals, self.b)
 
     def sample(self, reports, outcomes, seed):
         return report_noisy_max_select(reports, outcomes, self.b, seed)
-
-    def _own_win_prob(self, opp_totals):
-        return lambda own: np.array(
-            [noisy_max_win_prob(np.concatenate([[own[k]], opp_totals[k]]), self.b, 0) for k in range(own.size)]
-        )
 
     def truthfulness_band(self):
         return 4.0 / self.b, {"b": self.b}
@@ -597,60 +594,58 @@ def report_noisy_max_select(reports, outcomes, b: float, seed: int) -> WinnerDra
     return WinnerDraw(winner, law, RngTrace(seed, totals.size))
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)  # imports numpy.polynomial on first use
 
 
 def noisy_max_win_prob(totals, b: float, index: int, order: int = 24) -> float:
-    """Exact probability that one forecaster wins under Report Noisy Max.
+    """Exact probability that one forecaster wins under Report Noisy Max."""
+    return float(noisy_max_law(totals, b, order)[index])
 
-    P(i wins) = E over i's noise W of prod_{j != i} F(q_i + W - q_j), with F
-    the Laplace CDF.  The integrand is piecewise smooth between the CDF kinks
-    at q_j - q_i and the density kink at 0, so panel Gauss-Legendre
-    quadrature between the kinks is exact to near machine precision.
+
+def noisy_max_law(totals, b: float, order: int = 24) -> np.ndarray:
+    """Exact selection law of Report Noisy Max given (..., n) score totals.
+
+    Over the winner's noisy total x, P(i wins) is the integral of f(x - q_i) prod_{j != i} F(x - q_j),
+    f and F the Laplace(0, b) density and CDF.  It is smooth between the kinks at the totals, so
+    Gauss-Legendre panels between the sorted totals, with 40b tails and at most 4b wide (a panel
+    resolves only a few decay lengths), are exact to near machine precision.  A row's forecasters
+    share its panels; shorter rows are padded with zero-width panels and sums run in panel order,
+    so each row's law is the same alone or in a stack.
     """
     if b <= 0.0:
         raise ValueError(f"scale b must be positive, got {b}")
     q = np.asarray(totals, dtype=float)
-    n = q.size
-    if n == 1:
-        return 1.0
+    rows = q.reshape(-1, q.shape[-1])
     nodes, weights = _gl_nodes(order)
-    tail = 40.0 * b
-    kinks = np.unique(np.concatenate([[0.0], np.delete(q, index) - q[index]]))
-    edges = np.concatenate([[kinks[0] - tail], kinks, [kinks[-1] + tail]])
-    # Subdivide wide panels: the density decays on scale b, and one GL panel
-    # only resolves a few decay lengths.
-    refined = [edges[0]]
-    for right in edges[1:]:
-        left = refined[-1]
-        chunks = max(1, int(math.ceil((right - left) / (4.0 * b))))
-        refined.extend(left + (right - left) * (k + 1) / chunks for k in range(chunks))
-    edges = np.array(refined)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    density = np.exp(-np.abs(pts) / b) / (2.0 * b)
-    prod = np.ones_like(pts)
-    for j in range(n):
-        if j == index:
-            continue
-        prod *= laplace_cdf(q[index] + pts - q[j], b)
-    return float(np.sum(half[:, None] * weights[None, :] * density * prod))
-
-
-def noisy_max_law(totals, b: float, order: int = 24) -> np.ndarray:
-    """Exact selection law of Report Noisy Max given score totals."""
-    q = np.asarray(totals, dtype=float)
-    law = np.array([noisy_max_win_prob(q, b, i, order) for i in range(q.size)])
-    total = law.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise RuntimeError(f"noisy-max quadrature lost mass: sum={total}")
+    s = np.sort(rows, axis=1)
+    edges = np.column_stack([s[:, 0] - 40.0 * b, s, s[:, -1] + 40.0 * b])
+    width = np.diff(edges, axis=1)
+    pieces = np.maximum(1.0, np.ceil(width / (4.0 * b)))
+    ends = np.cumsum(pieces, axis=1)
+    # panel boundary p lies in gap g, the number of gaps ending at or before p
+    p = np.arange(ends[:, -1].max() + 1)[None, :]
+    gap = np.minimum(np.sum(p[..., None] >= ends[:, None, :], axis=2), width.shape[1] - 1)
+    pick = lambda a: np.take_along_axis(a, gap, axis=1)  # noqa: E731
+    x = np.where(p >= ends[:, -1:], edges[:, -1:], pick(edges) + pick(width) * (p - pick(ends - pieces)) / pick(pieces))
+    half = 0.5 * (x[:, 1:] - x[:, :-1])
+    # (n, B, nodes): forecaster j's offset x - q_j at every node of each row
+    z = ((0.5 * (x[:, 1:] + x[:, :-1]))[..., None] + half[..., None] * nodes).reshape(len(rows), -1) - rows.T[..., None]
+    tail = 0.5 * np.exp(-np.abs(z) / b)  # b f(z), and F(z) for z < 0 or 1 - F(z) for z >= 0
+    cdf = np.where(z < 0.0, tail, 1.0 - tail)
+    # prod_{j != i} F_j as the product of the CDFs before i times those after i
+    others, after = np.ones_like(cdf), np.ones_like(cdf[0])
+    for j in range(1, len(cdf)):
+        others[j] = others[j - 1] * cdf[j - 1]
+    for j in range(len(cdf) - 2, -1, -1):
+        after = after * cdf[j + 1]
+        others[j] *= after
+    terms = (half[..., None] * weights).reshape(len(rows), -1) * tail / b * others
+    law = np.cumsum(terms, axis=-1)[..., -1].T.reshape(q.shape)
+    total = law.sum(axis=-1, keepdims=True)
+    if np.any(np.abs(total - 1.0) > 1e-8):
+        raise RuntimeError(f"noisy-max quadrature lost mass: sum={total.ravel()[np.argmax(np.abs(total - 1.0))]}")
     return law / total
 
 

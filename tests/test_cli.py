@@ -289,11 +289,16 @@ class TestExitCodes:
                          strategies="round_local_best_response"), "regularizer l2 declares no curvature constants"),
             (with_params(dict(MINIMAL_RUN, mechanism={"type": "mw", "eta": 0.5}), strategies="round_local_best_response"),
              "eta=0.5 violates the per-round optimum precondition"),
+            (with_params(MINIMAL_RUN, strategies="truthful", pull=5),
+             "pull is read only by the extremizer preset, got strategies 'truthful'"),
+            ({"command": "online-regret", "params": {"T": 20, "n": 3, "strategies": "truthful", "pull": -2}},
+             "pull is read only by the extremizer preset, got strategies 'truthful'"),
         ],
         ids=["ns-below-two", "gap-beyond-spread", "inline-belief-above-one", "bounds-delta-one", "bounds-epsilon-one",
              "bounds-gamma-too-large", "bounds-epsilon-string", "bounds-gamma-string", "complexity-delta-one",
              "lower-bound-n-two", "online-n-one", "online-round-local-preset", "sweep-n-one", "sweep-m-over-budget",
-             "condition-dim-one", "round-local-on-elf", "round-local-on-l2", "round-local-eta-too-large"],
+             "condition-dim-one", "round-local-on-elf", "round-local-on-l2", "round-local-eta-too-large",
+             "run-pull-without-extremizer", "online-pull-without-extremizer"],
     )
     def test_library_preconditions_are_config_errors(self, tmp_path, capsys, data, violation):
         out = tmp_path / "x"

@@ -1,5 +1,6 @@
 """Mechanism behavior: laws, invariants, replay, and cross-mechanism identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forecastcomp.mechanisms import (
+    DEFAULT_ENUMERATION_BUDGET,
     Elf,
     Ftrl,
     MultWeights,
@@ -21,6 +23,7 @@ from forecastcomp.mechanisms import (
     laplace_from_uniform,
     mc_winner_law,
     mw_select,
+    noisy_max_law,
     point_per_round_point_prob,
     point_per_round_select,
     report_noisy_max_select,
@@ -30,6 +33,7 @@ from forecastcomp.mechanisms import (
     selection_law,
     simple_max_select,
 )
+from forecastcomp.mechanisms import _tally_dp_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
 
 rng_global = np.random.default_rng(2024)
@@ -292,6 +296,12 @@ class TestFtrlAndMw:
         with pytest.warns(UserWarning, match="eta"):
             MultWeights(eta=0.9)
 
+    @pytest.mark.parametrize("build", [lambda: MultWeights(eta=5.0), lambda: Ftrl(NEG_ENTROPY, 5.0)], ids=["mw", "ftrl"])
+    def test_eta_warning_names_the_caller(self, build):
+        with pytest.warns(UserWarning, match="eta") as record:
+            build()
+        assert record[0].filename == __file__
+
 
 class TestReportNoisyMax:
     def test_vanishing_noise_matches_simple_max(self):
@@ -309,6 +319,28 @@ class TestReportNoisyMax:
         a = report_noisy_max_select(reports, y, b=4.0, seed=9)
         b = report_noisy_max_select(reports, y, b=4.0, seed=9)
         assert a.winner == b.winner and a.rng_trace == b.rng_trace
+
+    def test_law_matches_per_forecaster_quadrature(self):
+        # tied totals give zero-width panels; spreads up to 1,000 give rows of
+        # very different panel counts in one stack
+        rng = np.random.default_rng(36)
+        for _ in range(150):
+            n, b = int(rng.integers(1, 6)), float(rng.uniform(4.0, 80.0))
+            totals = rng.uniform(0.0, rng.choice([1.0, 10.0, 100.0, 1000.0]), (int(rng.integers(1, 6)), n))
+            totals[:, -1] = np.where(rng.random(len(totals)) < 0.3, totals[:, 0], totals[:, -1])
+            for q, law in zip(totals, noisy_max_law(totals, b)):
+                oracle = np.array([_per_forecaster_quadrature(q, b, i) for i in range(n)])
+                np.testing.assert_allclose(law, oracle / oracle.sum(), rtol=0.0, atol=1e-12)
+
+    def test_law_matches_sampler_frequencies(self):
+        # totals 8, 6 and 0 against b = 4: a law far from uniform
+        y = (np.arange(8) % 2).astype(float)
+        reports = np.vstack([y, np.full(8, 0.5), 1.0 - y])
+        law = ReportNoisyMax(b=4.0).law(reports, y)
+        trials = 20_000
+        winners = [report_noisy_max_select(reports, y, 4.0, seed=k).winner for k in range(trials)]
+        freq = np.bincount(winners, minlength=3) / trials
+        assert np.all(np.abs(freq - law) <= 4.0 * np.sqrt(law * (1.0 - law) / trials))
 
     def test_config_requires_b_at_least_four(self):
         with pytest.raises(ValueError):
@@ -384,6 +416,22 @@ class TestSelectionLawInvariants:
             expected = [config.law(np.vstack([report, opponents]), y)[0] for y in bits]
             np.testing.assert_allclose(config.utility_kernel(opponents, bits)(report), expected, atol=1e-9)
 
+    @pytest.mark.parametrize("config", ALL_CONFIGS + [Ftrl(regularizer=L2, eta=0.2)], ids=ALL_IDS + ["ftrl_l2"])
+    def test_law_over_a_stack_equals_each_row(self, config):
+        # lotteries refuse empty outcomes; the (3, 9) stack spans two chunks;
+        # in the (3, 60) stack, reports at 0, 1/2 and 1 against outcomes of
+        # varying bias give noisy-max rows of different panel counts
+        rng = np.random.default_rng(35)
+        m_low = 1 if isinstance(config, (Elf, PointPerRound)) else 0
+        shapes = [(int(rng.integers(2, 5)), int(rng.integers(m_low, 5)), int(rng.integers(1, 20))) for _ in range(12)]
+        for n, m, rows in shapes + [(3, 9, 2**9), (3, 60, 12)]:
+            reports = rng.random((n, m)) if m != 60 else np.repeat([[0.0], [0.5], [1.0]], m, axis=1)
+            outcomes = (rng.random((rows, m)) < rng.random((rows, 1))).astype(float)
+            law = config.law(reports, outcomes)
+            assert law.shape == (rows, n)
+            for k in range(rows):
+                np.testing.assert_array_equal(law[k], config.law(reports, outcomes[k]))
+
     def test_winner_draw_records_seed_provenance(self):
         reports, y = random_instance(np.random.default_rng(30))
         for config in (SimpleMax(), Elf(), MultWeights(eta=0.2), ReportNoisyMax(b=4.0)):
@@ -400,6 +448,63 @@ class TestSelectionLawInvariants:
         for k in range(trials):
             counts[sample_winner(law, seed=k).winner] += 1
         np.testing.assert_allclose(counts / trials, law, atol=0.015)
+
+
+class TestTallyDp:
+    def test_stack_matches_path_enumeration(self):
+        # binary reports against perfect opponents give zero point probabilities
+        rng = np.random.default_rng(37)
+        zeros = 0
+        for k in range(60):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            reports = rng.random((n, m)) if k % 2 else (rng.random((n, m)) < 0.5).astype(float)
+            bits = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+            tables = Elf().point_probs(reports, bits)
+            zeros += int(np.sum(tables == 0.0))
+            for table, law in zip(tables, _tally_dp_law(tables, DEFAULT_ENUMERATION_BUDGET)):
+                np.testing.assert_allclose(law, _path_enumeration(table), rtol=0.0, atol=1e-12)
+        assert zeros > 0
+
+
+def _path_enumeration(table: np.ndarray) -> np.ndarray:
+    """Tally-and-argmax winner law of an (m, n) point table over all n^m point paths."""
+    m, n = table.shape
+    law = np.zeros(n)
+    for path in itertools.product(range(n), repeat=m):
+        prob = math.prod(table[t, i] for t, i in enumerate(path))
+        tally = np.bincount(path, minlength=n)
+        ties = np.flatnonzero(tally == tally.max())
+        law[ties] += prob / ties.size
+    return law
+
+
+def _per_forecaster_quadrature(totals, b: float, index: int, order: int = 24) -> float:
+    """P(index wins) under Report Noisy Max as an integral over its own noise
+    w, by Gauss-Legendre panels between the kinks at 0 and q_j - q_index,
+    one forecaster at a time: the oracle for the batched noisy-max law."""
+    q = np.asarray(totals, dtype=float)
+    if q.size == 1:
+        return 1.0
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    tail = 40.0 * b
+    kinks = np.unique(np.concatenate([[0.0], np.delete(q, index) - q[index]]))
+    edges = np.concatenate([[kinks[0] - tail], kinks, [kinks[-1] + tail]])
+    refined = [edges[0]]
+    for right in edges[1:]:
+        left = refined[-1]
+        chunks = max(1, int(math.ceil((right - left) / (4.0 * b))))
+        refined.extend(left + (right - left) * (k + 1) / chunks for k in range(chunks))
+    edges = np.array(refined)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    density = np.exp(-np.abs(pts) / b) / (2.0 * b)
+    prod = np.ones_like(pts)
+    for j in range(q.size):
+        if j != index:
+            x = q[index] + pts - q[j]
+            prod *= np.where(x < 0.0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+    return float(np.sum(half[:, None] * weights[None, :] * density * prod))
 
 
 class TestL2FtrlRuns:
