@@ -52,7 +52,6 @@ from forecastcomp.mechanisms import (
     elf_winner_law,
     ftrl_select,
     mw_select,
-    point_per_round_select,
     report_noisy_max_select,
     sample_laplace,
     select,

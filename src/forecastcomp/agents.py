@@ -22,7 +22,7 @@ matrix; every mechanism here is anonymous, so this loses no generality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -54,7 +54,11 @@ __all__ = [
     "truthfulness_gap_sweep",
 ]
 
-DEFAULT_ENUM_BUDGET = 20
+ENUM_BUDGET = 20  # largest m whose 2^m outcome vectors are enumerated exactly
+COORD_TOL = 1e-8  # best-response line-search and convergence tolerance
+MAX_CYCLES = 200  # best-response coordinate cycles per start
+GRID_POINTS = 201  # coordinate grid where no unimodality certificate holds
+SWEEP_STARTS = 3  # best-response multi-starts per truthfulness-sweep context
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +186,15 @@ def _outcome_weights(beliefs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.prod(bits * beliefs + (1.0 - bits) * (1.0 - beliefs), axis=1)
 
 
-def _exact_utility(ctx: StrategicContext, enum_budget: int = DEFAULT_ENUM_BUDGET) -> Callable[[np.ndarray], float]:
+def _exact_utility(ctx: StrategicContext) -> Callable[[np.ndarray], float]:
     """Expected win probability of agent 0 as a function of their report.
 
     Enumerates all outcome vectors once; the mechanism's utility kernel
     evaluates its law over all of them in one call.
     """
-    if ctx.m > enum_budget:
+    if ctx.m > ENUM_BUDGET:
         raise ValueError(
-            f"m={ctx.m} exceeds the exact enumeration budget {enum_budget}; "
+            f"m={ctx.m} exceeds the exact enumeration budget {ENUM_BUDGET}; "
             "pass mc_trials for a Monte Carlo estimate"
         )
     bits = _outcome_table(ctx.m)
@@ -202,20 +206,18 @@ def _exact_utility(ctx: StrategicContext, enum_budget: int = DEFAULT_ENUM_BUDGET
 def expected_win_prob(
     ctx: StrategicContext,
     candidate,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
     mc_trials: int | None = None,
     seed: int = 0,
 ) -> float:
     """Expected probability that the agent wins with the candidate report.
 
     Exact by enumeration over all 2^m outcome vectors when m is within
-    ``enum_budget``; otherwise requires ``mc_trials`` for a Monte Carlo
+    ``ENUM_BUDGET``; otherwise requires ``mc_trials`` for a Monte Carlo
     estimate over outcomes drawn from the agent's own beliefs.
 
     Args:
         ctx: the agent's strategic context (opponents, beliefs, mechanism).
         candidate: (m,) report vector to evaluate.
-        enum_budget: largest m for exact enumeration.
         mc_trials: outcome samples for the fallback estimate.
         seed: seed for the fallback sampling.
     """
@@ -224,11 +226,11 @@ def expected_win_prob(
         raise ValueError(f"candidate shape {r.shape} does not match m={ctx.m}")
     if r.size > 0:
         as_probabilities(r, "candidate")
-    if ctx.m <= enum_budget:
-        return _exact_utility(ctx, enum_budget)(r)
+    if ctx.m <= ENUM_BUDGET:
+        return _exact_utility(ctx)(r)
     if mc_trials is None:
         raise ValueError(
-            f"m={ctx.m} exceeds the enumeration budget {enum_budget} and no "
+            f"m={ctx.m} exceeds the enumeration budget {ENUM_BUDGET} and no "
             "mc_trials fallback was enabled"
         )
     outcomes = (np.random.default_rng(seed).random((mc_trials, ctx.m)) < ctx.own_beliefs).astype(float)
@@ -244,6 +246,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-8) -> tuple[float, float]:
     """Golden-section maximization of a unimodal function on [lo, hi]."""
+    if not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol}: the bracket stops shrinking at adjacent doubles")
+    if lo > hi:
+        raise ValueError(f"the bracket needs lo <= hi, got [{lo}, {hi}]")
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -276,15 +282,9 @@ def _require_eta_in_range(eta: float, reg: Regularizer) -> None:
         )
 
 
-def mw_leave_one_out_optimum(
-    p_it: float,
-    q0,
-    q1,
-    eta: float,
-    index: int = 0,
-    regularizer: Regularizer = NEG_ENTROPY,
-) -> float:
-    """Optimal single-round report given the two continuation score vectors.
+def mw_leave_one_out_optimum(p_it: float, q0, q1, eta: float) -> float:
+    """Optimal single-round report of forecaster 0 under multiplicative weights,
+    given the two continuation score vectors.
 
     ``q0`` and ``q1`` are the total-score vectors of all forecasters under
     the two outcomes of the round in question; the curvature factors of the
@@ -303,20 +303,18 @@ def mw_leave_one_out_optimum(
         q0: (n,) total scores if the round's outcome is 0.
         q1: (n,) total scores if the round's outcome is 1.
         eta: learning rate; must satisfy eta < min(alpha/2, 1/beta).
-        index: the forecaster's coordinate in the score vectors.
-        regularizer: regularizer whose conjugate drives the mechanism.
     """
     if not 0.0 <= p_it <= 1.0:
         raise ValueError(f"belief must lie in [0, 1], got {p_it}")
-    _require_eta_in_range(eta, regularizer)
+    _require_eta_in_range(eta, NEG_ENTROPY)
     a0 = np.asarray(q0, dtype=float)
     a1 = np.asarray(q1, dtype=float)
     if a0.shape != a1.shape or a0.ndim != 1:
         raise ValueError(f"q0 and q1 must be 1-D vectors of equal length, got {a0.shape} vs {a1.shape}")
     if np.max(np.abs(a0 - a1)) > 1.0 + 1e-9:
         raise ValueError("inconsistent continuations: ||q0 - q1||_inf must be <= 1")
-    k0 = regularizer.conjugate_partial2(eta * a0, index)
-    k1 = regularizer.conjugate_partial2(eta * a1, index)
+    k0 = NEG_ENTROPY.conjugate_partial2(eta * a0, 0)
+    k1 = NEG_ENTROPY.conjugate_partial2(eta * a1, 0)
     if k0 <= 0.0 or k1 <= 0.0:
         raise ValueError("conjugate second partial must be positive at both continuations")
     ratio = k0 / k1
@@ -389,15 +387,7 @@ class BestResponseResult:
     certified: bool
 
 
-def best_response_full(
-    ctx: StrategicContext,
-    starts: int = 5,
-    coord_tol: float = 1e-8,
-    max_cycles: int = 200,
-    seed: int = 0,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-    grid_points: int = 201,
-) -> BestResponseResult:
+def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) -> BestResponseResult:
     """Maximize the exact expected win probability over reports in [0,1]^m.
 
     Cyclic coordinate ascent; each coordinate is solved by golden-section
@@ -408,7 +398,7 @@ def best_response_full(
 
     The solver multi-starts (beliefs plus random starts) and keeps the best.
     """
-    utility = _exact_utility(ctx, enum_budget)
+    utility = _exact_utility(ctx)
     m = ctx.m
     certified = ctx.mechanism.unimodal
     rng = np.random.default_rng(seed)
@@ -416,13 +406,13 @@ def best_response_full(
     for _ in range(max(0, starts - 1)):
         start_points.append(rng.random(m))
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
     best_r: np.ndarray | None = None
     best_u = -math.inf
     for r0 in start_points:
         r = r0.copy()
         u = utility(r)
-        for _ in range(max_cycles):
+        for _ in range(MAX_CYCLES):
             moved = 0.0
             for t in range(m):
                 def f(v: float, t: int = t) -> float:
@@ -431,7 +421,7 @@ def best_response_full(
 
                 old = r[t]
                 if certified:
-                    x, fx = golden_section_max(f, 0.0, 1.0, xtol=coord_tol)
+                    x, fx = golden_section_max(f, 0.0, 1.0, xtol=COORD_TOL)
                 else:
                     vals = np.array([f(float(v)) for v in grid])
                     k = int(np.argmax(vals))
@@ -444,7 +434,7 @@ def best_response_full(
                     moved = max(moved, abs(x - old))
                 else:
                     r[t] = old
-            if moved <= coord_tol:
+            if moved <= COORD_TOL:
                 break
         if u > best_u:
             best_u = u
@@ -512,15 +502,7 @@ class TruthfulnessGapReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "gamma_empirical": self.gamma_empirical,
-            "gamma_theoretical": self.gamma_theoretical,
-            "num_contexts": self.num_contexts,
-            "witness": self.witness,
-            "gaps": self.gaps,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def truthfulness_gap_sweep(
@@ -530,7 +512,6 @@ def truthfulness_gap_sweep(
     num_contexts: int,
     seed: int,
     extra_contexts: tuple[StrategicContext, ...] = (),
-    starts: int = 3,
 ) -> TruthfulnessGapReport:
     """Measure the worst best-response deviation over random contexts.
 
@@ -545,12 +526,11 @@ def truthfulness_gap_sweep(
         num_contexts: number of random contexts.
         seed: master seed; context k derives its own stream.
         extra_contexts: handcrafted contexts appended to the sweep.
-        starts: solver multi-starts per context.
     """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
-    if m > DEFAULT_ENUM_BUDGET:
-        raise ValueError(f"m={m} exceeds the exact enumeration budget {DEFAULT_ENUM_BUDGET} of each best response")
+    if m > ENUM_BUDGET:
+        raise ValueError(f"m={m} exceeds the exact enumeration budget {ENUM_BUDGET} of each best response")
     rng = np.random.default_rng(seed)
     worst = -1.0
     witness: dict = {}
@@ -561,7 +541,7 @@ def truthfulness_gap_sweep(
     ]
     contexts.extend(extra_contexts)
     for k, ctx in enumerate(contexts):
-        result = best_response_full(ctx, starts=starts, seed=k)
+        result = best_response_full(ctx, starts=SWEEP_STARTS, seed=k)
         gap = float(np.max(np.abs(result.report - ctx.own_beliefs)))
         gaps.append(gap)
         if gap > worst:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -65,8 +65,12 @@ __all__ = [
 ]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float, float]:
+WILSON_Z = 1.959963984540054  # the two-sided 95% normal quantile
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     """Wilson 95% score interval: (lower, upper, halfwidth)."""
+    z = WILSON_Z
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     phat = successes / trials
@@ -314,16 +318,7 @@ class ComplexityEstimate:
     probes: list[ProbeRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "m_estimate": self.m_estimate,
-            "trials": self.trials,
-            "empirical_success": self.empirical_success,
-            "confidence_halfwidth": self.confidence_halfwidth,
-            "probes": [vars(p) for p in self.probes],
-        }
+        return asdict(self)
 
 
 def estimate_event_complexity(
@@ -497,7 +492,9 @@ class OnlinePreference:
     """Nonnegative weights an expert places on being selected in later rounds.
 
     Presets: myopic (weight 1 on the next round only), consistent_uniform
-    (weight 1 on every later round), discounted (geometric decay).
+    (weight 1 on every later round), discounted (geometric decay).  A best
+    responder looks ahead to the last round its preference weighs: one round
+    when myopic, every remaining round otherwise.
     """
 
     kind: str
@@ -520,26 +517,41 @@ class OnlinePreference:
             return 1.0
         return self.discount ** (s - t)
 
-
-@dataclass(frozen=True)
-class MyopicBestResponse(_Strategy):
-    """Online expert maximizing only their next-round selection probability."""
-
-    responds: ClassVar[bool] = True
+    def weights_after(self, t: int, T: int) -> list[float]:
+        """Coefficients on the selections after each of rounds t..T-1 (0-based),
+        from round t's viewpoint, up to the last positive one."""
+        coefs = [self.coefficient(t + 1, s) for s in range(t + 2, T + 2)]
+        while coefs and not coefs[-1] > 0.0:
+            coefs.pop()
+        return coefs
 
 
 @dataclass(frozen=True)
 class ConsistentBestResponse(_Strategy):
-    """Online expert maximizing the preference-weighted sum over all later
-    rounds, by per-round best response to fixed opponent plans.  Requires a
-    small horizon: the expectation enumerates the remaining outcomes."""
+    """Online expert maximizing the preference-weighted sum of their later
+    selection probabilities, by per-round best response to the others' fixed
+    plans.  The expectation enumerates the outcomes of every round up to the
+    last one the preference weighs; more than ``max_horizon`` is refused."""
 
     max_horizon: int = 12
 
     responds: ClassVar[bool] = True
+    # The preference it plays under; None plays the run's.
+    preference: ClassVar[OnlinePreference | None] = None
 
 
-OnlineStrategy = Truthful | FixedReport | Extremizer | MyopicBestResponse | ConsistentBestResponse
+@dataclass(frozen=True)
+class MyopicBestResponse(ConsistentBestResponse):
+    """Online expert maximizing only their next-round selection probability:
+    the consistent best response under the myopic preference, whatever the
+    run's preference."""
+
+    max_horizon: int = field(default=1, init=False, repr=False)
+
+    preference: ClassVar[OnlinePreference] = OnlinePreference("myopic")
+
+
+OnlineStrategy = Truthful | FixedReport | Extremizer | ConsistentBestResponse
 
 
 @dataclass
@@ -577,7 +589,11 @@ class RegretTrace:
 
         Accumulates round by round in the same order as the live run, under
         the run's own regularizer, so the replay is bit-for-bit identical.
+        ``t`` runs from 0 to T; pi^T is the distribution after the last round.
         """
+        T = self.outcomes.size
+        if not 0 <= t <= T:
+            raise ValueError(f"replay_pi needs 0 <= t <= T = {T}, got {t}")
         totals = np.zeros(self.beliefs.shape[0])
         for s in range(t):
             totals += 1.0 - (self.outcomes[s] - self.reports[:, s]) ** 2
@@ -606,7 +622,7 @@ def online_run(
         beliefs: (n, T) expert belief matrix.
         theta: (T,) ground-truth probabilities.
         strategies: per-expert online strategies.
-        preference: utility weights for forward-looking strategies.
+        preference: utility weights of the responders that fix none of their own.
         regularizer: drives the selection distribution.
         eta: learning rate, must be positive.
         seed: outcome-sampling seed.
@@ -624,51 +640,35 @@ def online_run(
         raise ValueError(f"eta must be positive, got {eta}")
 
     # Responders at round t answer the plans for rounds t.. (not each other's
-    # responses) given the realized totals of the rounds before t.
-    def myopic_respond(i: int, t: int, totals: np.ndarray) -> float:
-        p_it = float(p[i, t])
-
-        def next_selection_prob(r: float) -> float:
-            rt = planned[:, t].copy()
-            rt[i] = r
-            # next round's totals if this round's outcome is 1, then if it is 0
-            q = totals + np.stack([1.0 - (1.0 - rt) ** 2, 1.0 - rt**2])
-            pi1, pi0 = regularizer.conjugate_grad(eta * q)[:, i]
-            return p_it * float(pi1) + (1.0 - p_it) * float(pi0)
-
-        r_star, _ = golden_section_max(next_selection_prob, 0.0, 1.0, xtol=1e-8)
-        return r_star
-
-    def consistent_respond(i: int, t: int, totals: np.ndarray) -> float:
-        horizon, max_horizon = T - t, strategies[i].max_horizon
+    # responses) given the realized totals of the rounds before t, weighing
+    # the selections after rounds t, t+1, .. by ``coefs``.
+    def respond(i: int, t: int, totals: np.ndarray, coefs: list[float]) -> float:
+        horizon, max_horizon = len(coefs), strategies[i].max_horizon
         if horizon > max_horizon:
             raise ValueError(
                 f"consistent best response enumerates 2^{horizon} outcome paths; max_horizon is {max_horizon}"
             )
         paths = _outcome_table(horizon)
         weights = _outcome_weights(p[i, t : t + horizon], paths)
-        coefs = [preference.coefficient(t + 1, t + k + 2) for k in range(horizon)]
+        local = planned[:, t : t + horizon].copy()
+        start = np.tile(totals, (paths.shape[0], 1))
 
         def utility(r: float) -> float:
-            local = planned[:, t:].copy()
             local[i, 0] = r
-            tot = np.tile(totals, (paths.shape[0], 1))
-            value = np.zeros(paths.shape[0])
+            tot, value = start, np.zeros(paths.shape[0])
             for k in range(horizon):
-                y_k = paths[:, k : k + 1]
-                tot = tot + 1.0 - (y_k - local[None, :, k]) ** 2
+                tot = tot + (1.0 - (paths[:, k : k + 1] - local[None, :, k]) ** 2)
                 if coefs[k] > 0.0:
                     value += coefs[k] * regularizer.conjugate_grad(eta * tot)[:, i]
-            return float(np.dot(weights, value))
+            # summed elementwise, not by np.dot: a myopic response adds p * pi1 + (1 - p) * pi0
+            return float(np.sum(weights * value))
 
-        r_star, _ = golden_section_max(utility, 0.0, 1.0, xtol=1e-8)
-        return r_star
+        return golden_section_max(utility, 0.0, 1.0, xtol=1e-8)[0]
 
-    playable = {MyopicBestResponse: myopic_respond, ConsistentBestResponse: consistent_respond}
-    unplayable = [s for s in strategies if s.responds and type(s) not in playable]
+    unplayable = [s for s in strategies if s.responds and not hasattr(s, "max_horizon")]
     if unplayable:
         raise ValueError(f"online_run cannot play the responders {unplayable}")
-    responders = {i: playable[type(s)] for i, s in enumerate(strategies) if s.responds}
+    responders = {i: s.preference or preference for i, s in enumerate(strategies) if s.responds}
     outcomes = (np.random.default_rng(seed).random(T) < t_vec).astype(float)
     planned = np.vstack([s.plan(p[i]) for i, s in enumerate(strategies)])
     reports = planned
@@ -676,8 +676,9 @@ def online_run(
         reports = planned.copy()
         totals = np.zeros(n)
         for t in range(T):
-            for i, respond in responders.items():
-                reports[i, t] = respond(i, t, totals)
+            coefs = {pref: pref.weights_after(t, T) for pref in set(responders.values())}
+            for i, pref in responders.items():
+                reports[i, t] = respond(i, t, totals, coefs[pref])
             totals += 1.0 - (outcomes[t] - reports[:, t]) ** 2
 
     # pis[t] from the scores of rounds before t, as C-contiguous (T, n) rows so

@@ -38,9 +38,10 @@ Mechanisms:
 - Report Noisy Max: add independent Laplace noise to the totals and take
   the argmax.
 
-The module-level functions (``select``, ``selection_law``,
-``simple_max_select``, ``elf_select``, ...) are thin delegates kept for
-callers that name a mechanism by function.
+The module-level functions (``select``, ``selection_law``, ``elf_select``,
+``noisy_max_win_prob``, ...) are thin delegates kept for callers that name a
+mechanism by function; ``elf_point_prob`` and ``elf_sample_points`` show one
+ELF event's point probabilities and one run's sampled point tallies.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ __all__ = [
     "elf_sample_points",
     "elf_select",
     "elf_winner_law",
-    "point_per_round_point_prob",
-    "point_per_round_select",
     "ftrl_select",
     "mw_select",
     "report_noisy_max_select",
@@ -89,6 +88,7 @@ __all__ = [
 
 DISTRIBUTION_TOL = 1e-10
 DEFAULT_ENUMERATION_BUDGET = 2**20
+GL_ORDER = 24  # Gauss-Legendre nodes per noisy-max quadrature panel
 _LAW_CHUNK = 256  # outcome rows per evaluation; noisy max holds ~600 nodes per row and forecaster
 
 
@@ -420,11 +420,6 @@ def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
     return Elf().point_probs(_validate_reports(reports)[:, [t]], [y_t])[0]
 
 
-def point_per_round_point_prob(reports, y_t: int, t: int, g: Callable) -> np.ndarray:
-    """Per-event point probabilities for a generalized scoring rule ``g``."""
-    return _rule_point_probs(g, _lottery_reports(reports)[:, [t]], np.array([float(y_t)]))[0]
-
-
 def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
     """Sample the per-forecaster point tallies of one ELF run."""
     return _tally_points(Elf().point_probs(reports, outcomes), np.random.default_rng(seed))[0]
@@ -433,17 +428,6 @@ def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
 def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
     """Run the event lotteries, tally points, and pick the point leader."""
     return Elf().sample(reports, outcomes, seed)
-
-
-def point_per_round_select(
-    reports, outcomes, g: Callable, seed: int,
-    range_length: float | None = None,
-) -> WinnerDraw:
-    """Tally-and-argmax selection for a generalized per-event scoring rule;
-    the declared range length defaults to the 1/n budget."""
-    if range_length is None:
-        range_length = 1.0 / _validate_reports(reports).shape[0]
-    return PointPerRound(g, range_length).sample(reports, outcomes, seed)
 
 
 def elf_winner_law(reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
@@ -594,17 +578,17 @@ def report_noisy_max_select(reports, outcomes, b: float, seed: int) -> WinnerDra
     return WinnerDraw(winner, law, RngTrace(seed, totals.size))
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)  # imports numpy.polynomial on first use
+@functools.cache
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(GL_ORDER)  # imports numpy.polynomial on first use
 
 
-def noisy_max_win_prob(totals, b: float, index: int, order: int = 24) -> float:
+def noisy_max_win_prob(totals, b: float, index: int) -> float:
     """Exact probability that one forecaster wins under Report Noisy Max."""
-    return float(noisy_max_law(totals, b, order)[index])
+    return float(noisy_max_law(totals, b)[index])
 
 
-def noisy_max_law(totals, b: float, order: int = 24) -> np.ndarray:
+def noisy_max_law(totals, b: float) -> np.ndarray:
     """Exact selection law of Report Noisy Max given (..., n) score totals.
 
     Over the winner's noisy total x, P(i wins) is the integral of f(x - q_i) prod_{j != i} F(x - q_j),
@@ -618,7 +602,7 @@ def noisy_max_law(totals, b: float, order: int = 24) -> np.ndarray:
         raise ValueError(f"scale b must be positive, got {b}")
     q = np.asarray(totals, dtype=float)
     rows = q.reshape(-1, q.shape[-1])
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes()
     s = np.sort(rows, axis=1)
     edges = np.column_stack([s[:, 0] - 40.0 * b, s, s[:, -1] + 40.0 * b])
     width = np.diff(edges, axis=1)

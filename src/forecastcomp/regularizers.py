@@ -30,7 +30,7 @@ a global constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-9
+FD_STEP = 1e-4  # central-difference step of the finite-difference partials
+PAIR_DISTANCES = (0.01, 0.1, 1.0)  # sup-norm separations of condition_check's beta pairs
+BETA_TOL = 0.01  # slack condition_check allows over a declared beta
 
 
 @dataclass(frozen=True)
@@ -213,14 +216,15 @@ def l2_conjugate_partial3(x, i: int) -> float:
 # ---------------------------------------------------------------------------
 
 def finite_difference_partials(
-    conjugate_value: Callable[[np.ndarray], float], h: float = 1e-4
+    conjugate_value: Callable[[np.ndarray], float],
 ) -> tuple[Callable[[np.ndarray, int], float], Callable[[np.ndarray, int], float]]:
-    """Central-difference second and third coordinate partials of C.
+    """Central-difference second and third coordinate partials of C, with step h = FD_STEP.
 
     A reference for checking closed-form partials.  The third difference
     divides by h^3, so its float noise is orders of magnitude above closed
     forms; alpha estimates built on it are unreliable.
     """
+    h = FD_STEP
 
     def partial2(x, i: int) -> float:
         arr = _as_finite_vector(x)
@@ -303,22 +307,7 @@ class ConditionReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "regularizer": self.regularizer,
-            "dim": self.dim,
-            "domain_radius": self.domain_radius,
-            "sample_count": self.sample_count,
-            "declared_alpha": self.declared_alpha,
-            "declared_beta": self.declared_beta,
-            "empirical_alpha": self.empirical_alpha,
-            "empirical_beta": self.empirical_beta,
-            "alpha_witness": self.alpha_witness,
-            "beta_witness": self.beta_witness,
-            "strict_convexity_ok": self.strict_convexity_ok,
-            "convexity_witness": self.convexity_witness,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def condition_check(
@@ -327,15 +316,13 @@ def condition_check(
     domain_radius: float,
     rng_seed: int,
     dim: int = 2,
-    pair_distances: tuple[float, ...] = (0.01, 0.1, 1.0),
-    beta_tol: float = 0.01,
 ) -> ConditionReport:
     """Empirically estimate curvature constants of a regularizer's conjugate.
 
     Samples ``sample_count`` points x with ||x||_inf <= domain_radius.  For
     the alpha estimate it takes the worst ratio d2C/|d3C| over points and
     coordinates; for beta it takes the worst sup-norm difference quotient of
-    log d2C over random pairs at each distance in ``pair_distances``.
+    log d2C over random pairs at each distance in ``PAIR_DISTANCES``.
 
     Args:
         reg: regularizer exposing closed-form partials.
@@ -343,13 +330,11 @@ def condition_check(
         domain_radius: sup-norm radius of the sampling box.
         rng_seed: seed for the sampling stream.
         dim: dimension of the score vectors (number of forecasters).
-        pair_distances: sup-norm separations used for the beta pairs.
-        beta_tol: slack allowed over the declared beta before failing.
 
     Returns:
         A :class:`ConditionReport`; ``passed`` is False on any strict
         convexity violation or when empirical estimates contradict the
-        declared constants.
+        declared constants (beta with ``BETA_TOL`` of slack).
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
@@ -383,7 +368,7 @@ def condition_check(
     emp_beta = 0.0
     beta_witness: dict = {}
     for k, x in enumerate(xs):
-        d = pair_distances[k % len(pair_distances)]
+        d = PAIR_DISTANCES[k % len(PAIR_DISTANCES)]
         step = rng.uniform(-1.0, 1.0, size=dim)
         peak = np.max(np.abs(step))
         if peak == 0.0:
@@ -413,7 +398,7 @@ def condition_check(
     passed = strict_ok
     if passed and declared_alpha is not None and emp_alpha < declared_alpha:
         passed = False
-    if passed and declared_beta is not None and emp_beta > declared_beta + beta_tol:
+    if passed and declared_beta is not None and emp_beta > declared_beta + BETA_TOL:
         passed = False
 
     return ConditionReport(

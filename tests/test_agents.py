@@ -120,6 +120,16 @@ class TestLeaveOneOutOptimum:
             mw_leave_one_out_optimum(0.5, np.zeros(3), np.full(3, 1.5), 0.05)
 
 
+class TestGoldenSection:
+    def test_refuses_a_bracket_it_cannot_search(self):
+        f = lambda x: -((x - 0.3) ** 2)
+        with pytest.raises(ValueError, match="xtol"):
+            golden_section_max(f, 0.0, 1.0, xtol=0.0)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            golden_section_max(f, 1.0, 0.0)
+        assert golden_section_max(f, 0.0, 1.0)[0] == pytest.approx(0.3, abs=1e-7)
+
+
 class TestNoisyMaxFixedPoint:
     def test_symmetric_context(self):
         assert noisy_max_fixed_point(0.5, 1.0, 1.0, 40.0) == pytest.approx(0.5, abs=1e-12)

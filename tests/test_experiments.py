@@ -376,6 +376,41 @@ class TestOnlineRun:
                 seed=35,
             )
 
+    @pytest.mark.parametrize("regularizer, T", [(NEG_ENTROPY, 8), (L2, 8), (NEG_ENTROPY, 20)])
+    def test_consistent_under_myopic_preference_plays_myopic_reports_exactly(self, regularizer, T):
+        # one round ahead: 2 outcome paths per response, so T = 20 fits the default max_horizon
+        n = 3
+        rng = np.random.default_rng(30)
+        beliefs, theta = rng.random((n, T)), rng.random(T)
+        kwargs = dict(preference=OnlinePreference("myopic"), regularizer=regularizer, eta=0.05, seed=31)
+        a = online_run(beliefs, theta, [MyopicBestResponse()] * n, **kwargs)
+        b = online_run(beliefs, theta, [ConsistentBestResponse()] * n, **kwargs)
+        assert np.array_equal(a.reports, b.reports)
+
+    def test_myopic_best_response_keeps_its_preference(self):
+        rng = np.random.default_rng(42)
+        beliefs, theta = rng.random((2, 6)), rng.random(6)
+        a, b = (
+            online_run(beliefs, theta, [MyopicBestResponse(), Truthful()], OnlinePreference(kind), NEG_ENTROPY, 0.05, 43)
+            for kind in ("myopic", "consistent_uniform")
+        )
+        assert np.array_equal(a.reports, b.reports)
+        with pytest.raises(TypeError):
+            MyopicBestResponse(max_horizon=3)
+
+    def test_replay_pi_refuses_rounds_outside_the_run(self):
+        n, T = 3, 10
+        rng = np.random.default_rng(44)
+        trace = online_run(
+            rng.random((n, T)), rng.random(T), [Truthful()] * n, OnlinePreference("myopic"), NEG_ENTROPY, 0.05, 45
+        )
+        for t in (-1, T + 1):
+            with pytest.raises(ValueError, match=f"0 <= t <= T = {T}"):
+                trace.replay_pi(t)
+        # pi^T, after the last round, has no row in pis but replays
+        totals = np.sum(1.0 - (trace.outcomes - trace.reports) ** 2, axis=1)
+        np.testing.assert_allclose(trace.replay_pi(T), NEG_ENTROPY.conjugate_grad(0.05 * totals), atol=1e-12)
+
 
     def test_fixed_report_plays_its_report(self):
         rng = np.random.default_rng(36)
@@ -575,6 +610,11 @@ class TestOnlinePreference:
             OnlinePreference("discounted", discount=1.5)
         with pytest.raises(ValueError):
             OnlinePreference("myopic").coefficient(4, 4)
+
+    def test_weights_after_stop_at_the_last_weighed_round(self):
+        assert OnlinePreference("myopic").weights_after(2, 9) == [1.0]
+        assert OnlinePreference("consistent_uniform").weights_after(2, 5) == [1.0, 1.0, 1.0]
+        assert OnlinePreference("discounted", discount=0.5).weights_after(7, 9) == [0.5, 0.25]
 
 
 class TestSeeds:

@@ -24,8 +24,6 @@ from forecastcomp.mechanisms import (
     mc_winner_law,
     mw_select,
     noisy_max_law,
-    point_per_round_point_prob,
-    point_per_round_select,
     report_noisy_max_select,
     sample_laplace,
     sample_winner,
@@ -172,14 +170,14 @@ class TestPointPerRound:
             g = lambda r, yy: (1.0 - (yy - r) ** 2) / n
             t = int(rng.integers(reports.shape[1]))
             np.testing.assert_allclose(
-                point_per_round_point_prob(reports, int(y[t]), t, g),
+                PointPerRound(g, 1.0 / n).point_probs(reports, y)[t],
                 elf_point_prob(reports, int(y[t]), t),
                 atol=1e-12,
             )
 
     def test_constant_rule_uniform(self):
         reports = np.random.default_rng(18).random((4, 2))
-        f = point_per_round_point_prob(reports, 1, 0, lambda r, y: 0.125)
+        f = PointPerRound(lambda r, y: 0.125, 0.25).point_probs(reports, np.ones(2))[0]
         np.testing.assert_allclose(f, 0.25, atol=1e-15)
 
     def test_oversized_range_rejected(self):
@@ -188,7 +186,7 @@ class TestPointPerRound:
         # range length 2/n: twice the allowed budget
         g = lambda r, yy: (1.0 - (yy - r) ** 2) / 2.0
         with pytest.raises(ValueError, match="range"):
-            point_per_round_select(reports, y, g, seed=0, range_length=0.5)
+            PointPerRound(g, 0.5).sample(reports, y, seed=0)
 
     def test_range_sampled_once_and_g_called_once_per_sample(self):
         calls = []
