@@ -30,7 +30,7 @@ from forecastcomp.agents import (
     build_reports,
     golden_section_max,
 )
-from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed, select
+from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed
 from forecastcomp.regularizers import Regularizer, regularizer_by_name
 from forecastcomp.scoring import accuracy, as_probabilities, epsilon_optimal_set
 
@@ -66,6 +66,7 @@ __all__ = [
 
 
 WILSON_Z = 1.959963984540054  # the two-sided 95% normal quantile
+DRAW_CHUNK = 2**15  # working-array elements of one draw call in the trial engine
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
@@ -210,17 +211,21 @@ def _draw_winners(
 ) -> list[WinnerDraw]:
     """The trial engine: trial k samples its outcomes from ``theta`` with
     seed ``seeds[k][0]`` and runs the mechanism on (reports, outcomes) with
-    seed ``seeds[k][1]``.  Results do not depend on ``threads``."""
+    seed ``seeds[k][1]``, one sampler call per chunk of trials.  Results do
+    not depend on ``threads`` or on the chunk size."""
+    rows = max(1, DRAW_CHUNK // mechanism.trial_elements(*reports.shape))
+    sampler = mechanism.sampler(reports)
 
-    def one_trial(k: int) -> WinnerDraw:
-        outcome_seed, select_seed = seeds[k]
-        y = (np.random.default_rng(outcome_seed).random(theta.size) < theta).astype(float)
-        return select(mechanism, reports, y, seed=select_seed)
+    def chunk(start: int) -> list[WinnerDraw]:
+        part = seeds[start:start + rows]
+        outcomes = np.array([np.random.default_rng(s).random(theta.size) < theta for s, _ in part], dtype=float)
+        return sampler(outcomes, [s for _, s in part])
 
+    starts = range(0, len(seeds), rows)
     if threads <= 1:
-        return [one_trial(k) for k in range(len(seeds))]
+        return [draw for start in starts for draw in chunk(start)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_trial, range(len(seeds))))
+        return [draw for part in pool.map(chunk, starts) for draw in part]
 
 
 def run_competition_trial(

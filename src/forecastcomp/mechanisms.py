@@ -12,7 +12,14 @@ Every mechanism is one frozen dataclass with the same interface:
 - ``law(reports, outcomes, budget)``: the exact selection law given (R, y),
   (n,) for outcomes (m,) and (B, n) for a (B, m) stack: ``totals_law`` of
   the (..., n) score totals, or the tally DP over per-event point tables;
-- ``sample(reports, outcomes, seed)``: a sampled :class:`WinnerDraw`;
+- ``draw(reports, outcomes, seeds)``: one sampled :class:`WinnerDraw` per
+  row of a (B, m) outcome stack, trial k drawing only from
+  ``np.random.default_rng(seeds[k])``, so a trial draws the same alone as in
+  any stack; ``sample(reports, outcomes, seed)`` is its one-row case;
+- ``sampler(reports)``: ``draw`` for one report matrix with the work that
+  depends only on the reports done once, for callers that draw many stacks
+  on the same reports; ``trial_elements(n, m)`` is the working-array size
+  one trial adds to a stack, by which such callers size their stacks;
 - ``utility_kernel(opponent_reports, bits)``: row 0's report to P(row 0
   wins) under each outcome row of ``bits``, column 0 of ``law`` (negative-
   entropy FTRL overrides it with a faster sigmoid closed form);
@@ -29,7 +36,9 @@ Mechanisms:
 - Generalized point-per-round: same tally structure with any bounded proper
   scoring rule whose range fits in an interval of length 1/n.  ELF is the
   point-per-round lottery with the quadratic rule; both share one per-event
-  point table, which feeds the tally sampler and the exact tally DP.
+  point table, which feeds the tally sampler and the exact tally DP.  The
+  sampler builds the cumulative tables for outcome 0 and 1 once per report
+  matrix and finds each event's point winner by binary search in them.
 - FTRL: selection distribution equals the conjugate gradient of a strictly
   convex regularizer at the scaled score totals.
 - Multiplicative Weights: FTRL with negative entropy (a subclass of
@@ -50,7 +59,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -155,12 +164,17 @@ def _scores(r: np.ndarray, outcomes) -> np.ndarray:
     y = as_outcomes(outcomes)
     if y.shape[-1] != r.shape[1]:
         raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
-    return 1.0 - (y[..., None, :] - r) ** 2
+    s = y[..., None, :] - r
+    np.square(s, out=s)
+    return np.subtract(1.0, s, out=s)
 
 
 def score_totals(reports, outcomes) -> np.ndarray:
     """Total quadratic score per forecaster, (..., n) for (..., m) outcomes; zeros when m = 0."""
-    r = _validate_reports(reports)
+    return _totals(_validate_reports(reports), outcomes)
+
+
+def _totals(r: np.ndarray, outcomes) -> np.ndarray:
     if r.shape[1] == 0:
         return np.zeros(np.shape(outcomes)[:-1] + (r.shape[0],))
     return _scores(r, outcomes).sum(axis=-1)
@@ -191,16 +205,52 @@ def _argmax_tie_law(totals: np.ndarray) -> np.ndarray:
     return ties / ties.sum(axis=-1, keepdims=True)
 
 
-def _argmax_draw(values: np.ndarray, seed: int, draws: int, rng: np.random.Generator | None = None) -> WinnerDraw:
-    """Winner of argmax(values) with uniform tie-breaking: one more draw on a tie."""
-    law = _argmax_tie_law(values)
-    ties = np.flatnonzero(law)
-    if ties.size == 1:
-        return WinnerDraw(int(ties[0]), law, RngTrace(seed, draws))
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    winner = int(ties[_categorical_draw(np.ones(ties.size), float(rng.random()))])
-    return WinnerDraw(winner, law, RngTrace(seed, draws + 1))
+def _argmax_draws(
+    values: np.ndarray, seeds: Sequence[int], draws: int, rngs: Sequence[np.random.Generator] | None = None,
+) -> list[WinnerDraw]:
+    """Winner of each row's argmax of (B, n) values with uniform tie-breaking:
+    one more draw on a tie, from the row's generator in ``rngs`` if given."""
+    out = []
+    for k, law in enumerate(_argmax_tie_law(values)):
+        ties = np.flatnonzero(law)
+        if ties.size == 1:
+            out.append(WinnerDraw(int(ties[0]), law, RngTrace(seeds[k], draws)))
+            continue
+        rng = np.random.default_rng(seeds[k]) if rngs is None else rngs[k]
+        winner = int(ties[_categorical_draw(np.ones(ties.size), float(rng.random()))])
+        out.append(WinnerDraw(winner, law, RngTrace(seeds[k], draws + 1)))
+    return out
+
+
+def _outcome_stack(outcomes, seeds: Sequence[int], m: int) -> np.ndarray:
+    """Validated (B, m) binary outcomes, one row per seed."""
+    y = np.asarray(outcomes, dtype=float)
+    if y.shape != (len(seeds), m):
+        raise ValueError(f"need ({len(seeds)}, {m}) outcomes, one row per seed and a column per event; got {y.shape}")
+    return as_outcomes(y) if y.size else y
+
+
+def _sample_tallies(
+    tables: tuple[np.ndarray, np.ndarray], outcomes: np.ndarray, rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """(B, n) point tallies of (B, m) outcomes over lottery ``tables``.  Event
+    t of row k draws u, the k-th generator's t-th uniform times the total of
+    its cumulative point row c, and its point goes to forecaster
+    min(count(c <= u), n - 1): a binary search, as c is sorted."""
+    cum, totals = tables
+    _, m, n = cum.shape
+    y = outcomes.astype(np.intp)
+    t = np.arange(m)
+    u = np.array([rng.random(m) for rng in rngs]) * totals[y, t]
+    rows, last = cum.ravel(), (y * m + t) * n - 1
+    count = np.zeros_like(y)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = np.minimum(count + step, n)
+        count = np.where(rows[last + probe] <= u, probe, count)
+        step >>= 1
+    winners = np.minimum(count, n - 1) + n * np.arange(len(y))[:, None]
+    return np.bincount(winners.ravel(), minlength=len(y) * n).reshape(len(y), n)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +269,24 @@ class _Mechanism:
             return self._law(reports, y, budget)
         return np.concatenate([self._law(reports, y[k:k + _LAW_CHUNK], budget) for k in range(0, len(y), _LAW_CHUNK)])
 
+    def draw(self, reports, outcomes, seeds: Sequence[int]) -> list[WinnerDraw]:
+        """One sampled winner per row of a (B, m) outcome stack.  Trial k's
+        randomness comes from ``np.random.default_rng(seeds[k])`` alone, so
+        it draws the same alone as in any stack."""
+        return self.sampler(reports)(outcomes, seeds)
+
     def sample(self, reports, outcomes, seed: int) -> WinnerDraw:
+        """One sampled winner for outcomes (m,): the one-row case of ``draw``."""
+        return self.draw(reports, np.asarray(outcomes, dtype=float)[None], [seed])[0]
+
+    def sampler(self, reports) -> Callable[[np.ndarray, Sequence[int]], list[WinnerDraw]]:
+        """``draw`` on one report matrix, as a function of (outcomes, seeds)
+        that has done once the work depending only on the reports."""
         raise NotImplementedError
+
+    def trial_elements(self, n: int, m: int) -> int:
+        """Working-array elements one trial adds to a ``draw`` call: its (n, m) scores."""
+        return n * m
 
     def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return lambda report: self.law(np.vstack([report, opponent_reports]), bits)[:, 0]
@@ -239,6 +305,14 @@ class _TotalsMechanism(_Mechanism):
         """Map (..., n) score totals to (..., n) selection laws."""
         raise NotImplementedError
 
+    def sampler(self, reports):
+        r = _validate_reports(reports)
+        return lambda outcomes, seeds: self._draw(_totals(r, _outcome_stack(outcomes, seeds, r.shape[1])), seeds)
+
+    def _draw(self, totals: np.ndarray, seeds: Sequence[int]) -> list[WinnerDraw]:
+        """One sampled winner per row of (B, n) score totals."""
+        raise NotImplementedError
+
 
 class _PointLottery(_Mechanism):
     """One point per event by lottery; the point leader wins, ties uniform.
@@ -253,13 +327,36 @@ class _PointLottery(_Mechanism):
     def _law(self, reports, outcomes, budget):
         return _tally_dp_law(self.point_probs(reports, outcomes), budget)
 
-    def sample(self, reports, outcomes, seed):
-        """One uniform draw per event plus one more on a tie.  The returned
+    def trial_elements(self, n, m):
+        """A trial's m uniforms and search positions and its n tallies."""
+        return m + n
+
+    def sampler(self, reports):
+        """One uniform draw per event plus one more on a tie.  Each returned
         distribution is the tie-break law over the realized point argmax."""
-        probs = self.point_probs(reports, outcomes)
-        rng = np.random.default_rng(seed)
-        points, draws = _tally_points(probs, rng)
-        return _argmax_draw(points.astype(float), seed, draws, rng)
+        tables = self._point_tables(reports)
+        m = tables[1].shape[1]
+
+        def draw(outcomes, seeds):
+            y = _outcome_stack(outcomes, seeds, m)
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            return _argmax_draws(_sample_tallies(tables, y, rngs), seeds, m, rngs)
+
+        return draw
+
+    def _point_tables(self, reports) -> tuple[np.ndarray, np.ndarray]:
+        """The cumulative point tables for every event under outcome 0 and 1,
+        each row sorted, (2, m, n), and their row totals, (2, m).  A table row
+        depends only on its own event and outcome, so these hold every row a
+        trial uses; one ``point_probs`` call over the two outcome rows makes
+        each row as a call on a trial's outcomes would."""
+        r = _lottery_reports(reports)
+        cum = np.ascontiguousarray(self.point_probs(r, np.repeat([[0.0], [1.0]], r.shape[1], axis=1)))
+        np.cumsum(cum, axis=-1, out=cum)
+        totals = cum[..., -1].copy()
+        # a row is already sorted unless rounding leaves a point probability just below zero
+        cum.sort(axis=-1)
+        return cum, totals
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +370,10 @@ class SimpleMax(_TotalsMechanism):
     def totals_law(self, totals):
         return _argmax_tie_law(totals)
 
-    def sample(self, reports, outcomes, seed):
-        """Ties are broken uniformly at random; the returned distribution is
+    def _draw(self, totals, seeds):
+        """Ties are broken uniformly at random; each returned distribution is
         the exact winner law (point mass, or uniform over the argmax set)."""
-        return _argmax_draw(score_totals(reports, outcomes), seed, 0)
+        return _argmax_draws(totals, seeds, 0)
 
 
 def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
@@ -326,8 +423,13 @@ class Elf(_PointLottery):
         entries lie in [0, 2/n] and each row sums to 1."""
         r = _lottery_reports(reports)
         s = _scores(r, outcomes)
-        mean_others = (s.sum(axis=-2, keepdims=True) - s) / (r.shape[0] - 1)
-        return np.swapaxes((1.0 + s - mean_others) / r.shape[0], -1, -2)
+        # in place, to hold two (..., n, m) arrays at a time
+        mean_others = s.sum(axis=-2, keepdims=True) - s
+        mean_others /= r.shape[0] - 1
+        s += 1.0
+        s -= mean_others
+        s /= r.shape[0]
+        return np.swapaxes(s, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -361,14 +463,6 @@ class PointPerRound(_PointLottery):
         if self.range_length > 1.0 / n + 1e-12:
             raise ValueError(f"declared range length {self.range_length} exceeds 1/n = {1.0 / n} for n={n}")
         return _rule_point_probs(self.g, r, as_outcomes(outcomes))
-
-
-def _tally_points(point_probs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    m, n = point_probs.shape
-    cum = np.cumsum(point_probs, axis=1)
-    us = rng.random(m) * cum[:, -1]
-    idx = np.minimum(np.sum(cum <= us[:, None], axis=1), n - 1)
-    return np.bincount(idx, minlength=n), m
 
 
 @functools.lru_cache(maxsize=16)
@@ -422,7 +516,9 @@ def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
 
 def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
     """Sample the per-forecaster point tallies of one ELF run."""
-    return _tally_points(Elf().point_probs(reports, outcomes), np.random.default_rng(seed))[0]
+    tables = Elf()._point_tables(reports)
+    y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], tables[1].shape[1])
+    return _sample_tallies(tables, y, [np.random.default_rng(seed)])[0]
 
 
 def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
@@ -470,8 +566,8 @@ class Ftrl(_TotalsMechanism):
     def totals_law(self, totals):
         return self.regularizer.conjugate_grad(self.eta * totals)
 
-    def sample(self, reports, outcomes, seed):
-        return sample_winner(self.law(reports, outcomes), seed)
+    def _draw(self, totals, seeds):
+        return [sample_winner(law, seed) for law, seed in zip(self.totals_law(totals), seeds)]
 
     def utility_kernel(self, opponent_reports, bits):
         if self.regularizer is not NEG_ENTROPY:
@@ -554,8 +650,8 @@ class ReportNoisyMax(_TotalsMechanism):
     def totals_law(self, totals):
         return noisy_max_law(totals, self.b)
 
-    def sample(self, reports, outcomes, seed):
-        return report_noisy_max_select(reports, outcomes, self.b, seed)
+    def _draw(self, totals, seeds):
+        return _noisy_max_draws(totals, self.b, seeds)
 
     def truthfulness_band(self):
         return 4.0 / self.b, {"b": self.b}
@@ -569,13 +665,18 @@ def report_noisy_max_select(reports, outcomes, b: float, seed: int) -> WinnerDra
     """
     if b <= 0.0:
         raise ValueError(f"scale b must be positive, got {b}")
-    totals = score_totals(reports, outcomes)
-    rng = np.random.default_rng(seed)
-    noisy = totals + np.array([sample_laplace(rng, b) for _ in range(totals.size)])
-    winner = int(np.argmax(noisy))
-    law = np.zeros(totals.size)
-    law[winner] = 1.0
-    return WinnerDraw(winner, law, RngTrace(seed, totals.size))
+    return _noisy_max_draws(score_totals(reports, outcomes)[None], b, [seed])[0]
+
+
+def _noisy_max_draws(totals: np.ndarray, b: float, seeds: Sequence[int]) -> list[WinnerDraw]:
+    """Argmax of each row of (B, n) totals plus n Laplace(0, b) draws, the
+    row's n uniforms mapped one at a time as by :func:`sample_laplace`:
+    np.log1p differs from math.log1p in the last bits."""
+    n = totals.shape[1]
+    noise = [[laplace_from_uniform(u - 0.5, b) for u in np.random.default_rng(seed).random(n).tolist()] for seed in seeds]
+    winners = np.argmax(totals + np.array(noise), axis=1)
+    laws = np.eye(n)[winners]
+    return [WinnerDraw(int(w), law, RngTrace(seed, n)) for w, law, seed in zip(winners, laws, seeds)]
 
 
 @functools.cache
@@ -658,10 +759,8 @@ def mc_winner_law(config: MechanismConfig, reports, outcomes, trials: int, seed:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     r = _validate_reports(reports)
-    counts = np.zeros(r.shape[0])
-    for k in range(trials):
-        draw = select(config, r, outcomes, seed=derive_seed(seed, k))
-        counts[draw.winner] += 1
-    law = counts / trials
+    y = np.asarray(outcomes, dtype=float)
+    draws = config.draw(r, np.broadcast_to(y, (trials, y.size)), [derive_seed(seed, k) for k in range(trials)])
+    law = np.bincount([d.winner for d in draws], minlength=r.shape[0]) / trials
     se = float(np.sqrt(np.max(law * (1.0 - law)) / trials))
     return law, se

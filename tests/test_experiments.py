@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forecastcomp import experiments
 from forecastcomp.agents import BestResponse, Extremizer, FixedReport, Truthful, extremize, golden_section_max
 from forecastcomp.experiments import (
     CompetitionSetting,
@@ -28,7 +29,7 @@ from forecastcomp.experiments import (
     theoretical_bounds,
     wilson_interval,
 )
-from forecastcomp.mechanisms import Elf, MultWeights, SimpleMax, elf_point_prob, selection_law
+from forecastcomp.mechanisms import Elf, MultWeights, ReportNoisyMax, SimpleMax, elf_point_prob, selection_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
 
 
@@ -139,6 +140,23 @@ class TestSuccessProbability:
         a = estimate_success_prob(setting, [Truthful()] * 4, Elf(), 0.2, 100, seed=12, threads=1)
         b = estimate_success_prob(setting, [Truthful()] * 4, Elf(), 0.2, 100, seed=12, threads=8)
         assert a == b
+
+    @pytest.mark.parametrize("mechanism", [SimpleMax(), Elf(), MultWeights(eta=0.3), ReportNoisyMax(b=4.0)],
+                             ids=["simple_max", "elf", "mw", "noisy_max"])
+    def test_chunk_size_and_threads_do_not_change_draws(self, mechanism, monkeypatch):
+        # one trial per chunk against the default chunk (all 40 trials), each
+        # at one and two threads; identical beliefs give tied totals and tallies
+        tied = isinstance(mechanism, SimpleMax)
+        setting = (identical_beliefs_setting if tied else random_setting)(5, 7, seed=40)
+        seeds = [(derive_seed(41, 1, k), derive_seed(41, 2, k)) for k in range(40)]
+        records = []
+        for chunk in (1, experiments.DRAW_CHUNK):
+            monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
+            for threads in (1, 2):
+                draws = experiments._draw_winners(setting.beliefs, setting.theta, mechanism, seeds, threads)
+                records.append([d.to_record() for d in draws])
+        assert len(records[0]) == 40
+        assert all(r == records[0] for r in records)
 
     def test_wilson_interval_values(self):
         lower, upper, half = wilson_interval(90, 100)

@@ -14,7 +14,9 @@ from forecastcomp.mechanisms import (
     MultWeights,
     PointPerRound,
     ReportNoisyMax,
+    RngTrace,
     SimpleMax,
+    WinnerDraw,
     elf_point_prob,
     elf_sample_points,
     elf_select,
@@ -27,11 +29,12 @@ from forecastcomp.mechanisms import (
     report_noisy_max_select,
     sample_laplace,
     sample_winner,
+    score_totals,
     select,
     selection_law,
     simple_max_select,
 )
-from forecastcomp.mechanisms import _tally_dp_law
+from forecastcomp.mechanisms import _noisy_max_draws, _tally_dp_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
 
 rng_global = np.random.default_rng(2024)
@@ -531,3 +534,86 @@ def test_mw_distribution_property(data):
     pi = mw_select(np.array(flat).reshape(n, m), np.array(y, dtype=float), eta)
     assert pi.min() > 0.0
     assert abs(pi.sum() - 1.0) <= 1e-10
+
+
+# The per-trial samplers that ``draw`` replaced, kept as its oracle: one
+# generator per trial, a fresh point table and its cumulative sums per trial
+# for the lotteries, and n scalar Laplace draws for noisy max.
+
+def _oracle_categorical(probs: np.ndarray, u: float) -> int:
+    cum = np.cumsum(probs)
+    return int(min(np.searchsorted(cum, u * cum[-1], side="right"), probs.size - 1))
+
+
+def _oracle_sample_winner(distribution, seed: int) -> WinnerDraw:
+    dist = np.asarray(distribution, dtype=float)
+    winner = _oracle_categorical(dist, float(np.random.default_rng(seed).random()))
+    return WinnerDraw(winner, dist, RngTrace(seed, 1))
+
+
+def _oracle_argmax(values: np.ndarray, seed: int, draws: int, rng=None) -> WinnerDraw:
+    """argmax with uniform tie-breaking: one more uniform on a tie."""
+    ties = values == values.max()
+    law = ties / ties.sum()
+    idx = np.flatnonzero(law)
+    if idx.size == 1:
+        return WinnerDraw(int(idx[0]), law, RngTrace(seed, draws))
+    rng = np.random.default_rng(seed) if rng is None else rng
+    winner = int(idx[_oracle_categorical(np.ones(idx.size), float(rng.random()))])
+    return WinnerDraw(winner, law, RngTrace(seed, draws + 1))
+
+
+def _oracle_sample(config, reports: np.ndarray, y: np.ndarray, seed: int) -> WinnerDraw:
+    n, m = reports.shape
+    if isinstance(config, (Elf, PointPerRound)):
+        rng = np.random.default_rng(seed)
+        cum = np.cumsum(config.point_probs(reports, y), axis=1)
+        us = rng.random(m) * cum[:, -1]
+        points = np.bincount(np.minimum(np.sum(cum <= us[:, None], axis=1), n - 1), minlength=n)
+        return _oracle_argmax(points.astype(float), seed, m, rng)
+    if isinstance(config, SimpleMax):
+        return _oracle_argmax(score_totals(reports, y), seed, 0)
+    if isinstance(config, ReportNoisyMax):
+        rng = np.random.default_rng(seed)
+        noise = [laplace_from_uniform(float(rng.random()) - 0.5, config.b) for _ in range(n)]
+        winner = int(np.argmax(score_totals(reports, y) + np.array(noise)))
+        return WinnerDraw(winner, np.eye(n)[winner], RngTrace(seed, n))
+    return _oracle_sample_winner(config.law(reports, y), seed)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS + [Ftrl(regularizer=L2, eta=0.2)], ids=ALL_IDS + ["ftrl_l2"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_draw_matches_the_per_trial_oracle(config, data):
+    # exact 0/1 reports make zero point probabilities and extreme totals;
+    # identical rows tie the totals and often the tallies, and permuted rows
+    # tie them up to the order of summation; the scaled rule needs n <= 4 for
+    # its range 1/4
+    lottery = isinstance(config, (Elf, PointPerRound))
+    n = data.draw(st.integers(2, 4 if isinstance(config, PointPerRound) else 7), label="n")
+    m = data.draw(st.integers(1 if lottery else 0, 6), label="m")
+    trials = data.draw(st.integers(1, 6), label="trials")
+    row = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=m, max_size=m)
+    first = data.draw(row, label="first row")
+    others = data.draw(st.sampled_from(["independent", "identical", "permuted"]), label="other rows")
+    if others == "independent":
+        reports = np.array([first] + [data.draw(row) for _ in range(n - 1)]).reshape(n, m)
+    elif others == "identical":
+        reports = np.tile(first, (n, 1)).reshape(n, m)
+    else:
+        reports = np.array([first] + [np.take(first, data.draw(st.permutations(range(m)))) for _ in range(n - 1)])
+        reports = reports.reshape(n, m)
+    outcomes = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=trials * m, max_size=trials * m)))
+    outcomes = outcomes.reshape(trials, m)
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=trials, max_size=trials), label="seeds")
+    drawn = [d.to_record() for d in config.draw(reports, outcomes, seeds)]
+    assert drawn == [_oracle_sample(config, reports, y, seed).to_record() for y, seed in zip(outcomes, seeds)]
+
+
+def test_noisy_max_maps_each_uniform_by_the_scalar_laplace_map():
+    # totals that cancel the scalar-mapped noise tie every forecaster at
+    # exactly 0, so the lowest index wins; noise from a vectorized log1p,
+    # off in the last bits, would make other winners
+    n, b, seeds = 6, 4.0, list(range(40))
+    totals = np.array([[-sample_laplace(rng, b) for _ in range(n)] for rng in map(np.random.default_rng, seeds)])
+    assert [d.winner for d in _noisy_max_draws(totals, b, seeds)] == [0] * len(seeds)
