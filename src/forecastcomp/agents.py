@@ -59,6 +59,7 @@ COORD_TOL = 1e-8  # best-response line-search and convergence tolerance
 MAX_CYCLES = 200  # best-response coordinate cycles per start
 GRID_POINTS = 201  # coordinate grid where no unimodality certificate holds
 SWEEP_STARTS = 3  # best-response multi-starts per truthfulness-sweep context
+FIXED_POINT_TOL = 1e-12  # noisy_max_fixed_point stops when successive iterates are this close
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,6 @@ def noisy_max_fixed_point(
     mu1: float,
     b: float,
     max_iter: int = 100,
-    tol: float = 1e-12,
 ) -> float:
     """Optimal single-round report under noisy-max selection.
 
@@ -345,8 +345,8 @@ def noisy_max_fixed_point(
             score when the outcome is 0.
         mu1: same with outcome 1; must satisfy |mu1 - mu0| <= 1.
         b: Laplace scale, at least 4.
-        max_iter: iteration cap.
-        tol: convergence tolerance on successive iterates.
+        max_iter: iteration cap; iteration stops once successive iterates
+            are within ``FIXED_POINT_TOL``.
     """
     if not 0.0 <= p_it <= 1.0:
         raise ValueError(f"belief must lie in [0, 1], got {p_it}")
@@ -364,7 +364,7 @@ def noisy_max_fixed_point(
     r = p_it
     for _ in range(max_iter):
         nxt = step(r)
-        if abs(nxt - r) <= tol:
+        if abs(nxt - r) <= FIXED_POINT_TOL:
             return nxt
         r = nxt
     raise RuntimeError(

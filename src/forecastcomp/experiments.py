@@ -13,6 +13,7 @@ independent of execution order and thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Sequence
@@ -202,6 +203,10 @@ class TrialResult:
         return self.winner in epsilon_optimal_set(self.accuracies, epsilon)
 
 
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _draw_winners(
     reports: np.ndarray,
     theta: np.ndarray,
@@ -222,9 +227,10 @@ def _draw_winners(
         return sampler(outcomes, [s for _, s in part])
 
     starts = range(0, len(seeds), rows)
-    if threads <= 1:
+    workers = min(threads, len(starts), _available_cpus())
+    if workers <= 1:
         return [draw for start in starts for draw in chunk(start)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return [draw for part in pool.map(chunk, starts) for draw in part]
 
 

@@ -614,9 +614,7 @@ def mw_select(reports, outcomes, eta: float) -> np.ndarray:
     """Multiplicative-weights distribution: softmax of eta-scaled totals."""
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    z = eta * score_totals(reports, outcomes)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return NEG_ENTROPY.conjugate_grad(eta * score_totals(reports, outcomes))
 
 
 # ---------------------------------------------------------------------------

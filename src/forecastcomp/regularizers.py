@@ -44,7 +44,6 @@ __all__ = [
     "entropy_conjugate_grad",
     "entropy_conjugate_partial2",
     "entropy_conjugate_partial3",
-    "l2_value",
     "l2_conjugate",
     "l2_conjugate_grad",
     "l2_conjugate_partial2",
@@ -59,6 +58,9 @@ SIMPLEX_TOL = 1e-9
 FD_STEP = 1e-4  # central-difference step of the finite-difference partials
 PAIR_DISTANCES = (0.01, 0.1, 1.0)  # sup-norm separations of condition_check's beta pairs
 BETA_TOL = 0.01  # slack condition_check allows over a declared beta
+# condition_check takes logs with libm's math.log: numpy's SIMD log differs
+# from it in the last bit on some inputs.
+_log = np.vectorize(math.log, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -82,24 +84,23 @@ class CurvatureConstants:
 class Regularizer:
     """A strictly convex regularizer together with its conjugate calculus.
 
+    Every derivative takes score vectors as an (..., n) array and maps each
+    row along the last axis; a single vector gives a single value.
+
     Attributes:
         name: identifier used in configs and reports.
-        value: R(pi) on the simplex.
-        conjugate_value: C(x) for arbitrary real score vectors.
-        conjugate_grad: gradient of C; always a point in the simplex.  Takes
-            (..., n) input and maps each row along the last axis.
-        conjugate_partial2: second partial of C along one coordinate, for
-            (..., n) input one value per row.
-        conjugate_partial3: third partial of C along one coordinate.
+        conjugate_grad: gradient of C; each row a point in the simplex.
+        conjugate_partial2: second partial of C along coordinate i, one value
+            per row.
+        conjugate_partial3: third partial of C along coordinate i, one value
+            per row.
         declared: curvature constants claimed for this regularizer, if any.
     """
 
     name: str
-    value: Callable[[np.ndarray], float]
-    conjugate_value: Callable[[np.ndarray], float]
     conjugate_grad: Callable[[np.ndarray], np.ndarray]
     conjugate_partial2: Callable[[np.ndarray, int], float | np.ndarray]
-    conjugate_partial3: Callable[[np.ndarray, int], float]
+    conjugate_partial3: Callable[[np.ndarray, int], float | np.ndarray]
     declared: CurvatureConstants | None = None
 
 
@@ -161,21 +162,15 @@ def entropy_conjugate_partial2(x, i: int):
     return pi * (1.0 - pi)
 
 
-def entropy_conjugate_partial3(x, i: int) -> float:
+def entropy_conjugate_partial3(x, i: int):
     """Third coordinate partial of log-sum-exp: pi_i (1 - pi_i) (1 - 2 pi_i)."""
-    pi = entropy_conjugate_grad(_as_finite_vector(x))
-    return float(pi[i] * (1.0 - pi[i]) * (1.0 - 2.0 * pi[i]))
+    pi = entropy_conjugate_grad(x)[..., i]
+    return pi * (1.0 - pi) * (1.0 - 2.0 * pi)
 
 
 # ---------------------------------------------------------------------------
 # L2 regularizer (negative example)
 # ---------------------------------------------------------------------------
-
-def l2_value(pi) -> float:
-    """Half squared Euclidean norm on the simplex."""
-    arr = _as_simplex_point(pi)
-    return 0.5 * float(np.dot(arr, arr))
-
 
 def _project_to_simplex(x: np.ndarray) -> np.ndarray:
     # Euclidean projection of each row onto the simplex (sort-based); the
@@ -207,8 +202,9 @@ def l2_conjugate_partial2(x, i: int):
     return np.where(active[..., i], 1.0 - 1.0 / active.sum(axis=-1), 0.0)[()]
 
 
-def l2_conjugate_partial3(x, i: int) -> float:
-    return 0.0
+def l2_conjugate_partial3(x, i: int):
+    # The gradient is piecewise linear, so its derivative is piecewise constant.
+    return np.zeros(_as_finite_rows(x).shape[:-1])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +244,6 @@ def finite_difference_partials(
 
 NEG_ENTROPY = Regularizer(
     name="negative_entropy",
-    value=neg_entropy,
-    conjugate_value=entropy_conjugate,
     conjugate_grad=entropy_conjugate_grad,
     conjugate_partial2=entropy_conjugate_partial2,
     conjugate_partial3=entropy_conjugate_partial3,
@@ -258,8 +252,6 @@ NEG_ENTROPY = Regularizer(
 
 L2 = Regularizer(
     name="l2",
-    value=l2_value,
-    conjugate_value=l2_conjugate,
     conjugate_grad=l2_conjugate_grad,
     conjugate_partial2=l2_conjugate_partial2,
     conjugate_partial3=l2_conjugate_partial3,
@@ -322,7 +314,10 @@ def condition_check(
     Samples ``sample_count`` points x with ||x||_inf <= domain_radius.  For
     the alpha estimate it takes the worst ratio d2C/|d3C| over points and
     coordinates; for beta it takes the worst sup-norm difference quotient of
-    log d2C over random pairs at each distance in ``PAIR_DISTANCES``.
+    log d2C over random pairs: point k is paired with a random step of sup
+    norm ``PAIR_DISTANCES[k % 3]`` (a zero step pairs with nothing).  Every
+    witness is the first extreme in point-then-coordinate order, and a
+    convexity failure at a point comes before one at a partner.
 
     Args:
         reg: regularizer exposing closed-form partials.
@@ -345,53 +340,37 @@ def condition_check(
 
     rng = np.random.default_rng(rng_seed)
     xs = rng.uniform(-domain_radius, domain_radius, size=(sample_count, dim))
+    steps = rng.uniform(-1.0, 1.0, size=(sample_count, dim))
+    dist = np.resize(PAIR_DISTANCES, sample_count)
+    peak = np.abs(steps).max(axis=1)
+    paired = peak > 0.0
+    steps *= (dist / np.where(paired, peak, 1.0))[:, None]
+    partners = xs + steps
 
-    emp_alpha = math.inf
-    alpha_witness: list[float] = []
-    strict_ok = True
-    convexity_witness: list[float] | None = None
+    # (sample_count, dim) tables, entry [k, i] at point k along coordinate i;
+    # argmin and argmax read them in point-then-coordinate (C) order.
+    p2 = np.column_stack([reg.conjugate_partial2(xs, i) for i in range(dim)])
+    q2 = np.column_stack([reg.conjugate_partial2(partners, i) for i in range(dim)])
+    p3 = np.abs(np.column_stack([reg.conjugate_partial3(xs, i) for i in range(dim)]))
 
-    for x in xs:
-        for i in range(dim):
-            p2 = reg.conjugate_partial2(x, i)
-            if p2 <= 0.0:
-                if strict_ok:
-                    strict_ok = False
-                    convexity_witness = [float(v) for v in x]
-                continue
-            p3 = abs(reg.conjugate_partial3(x, i))
-            ratio = math.inf if p3 == 0.0 else p2 / p3
-            if ratio < emp_alpha:
-                emp_alpha = ratio
-                alpha_witness = [float(v) for v in x]
+    broken = np.concatenate([xs[(p2 <= 0.0).any(axis=1)], partners[paired & (q2 <= 0.0).any(axis=1)]])
+    strict_ok = len(broken) == 0
+    convexity_witness = None if strict_ok else broken[0].tolist()
 
-    emp_beta = 0.0
-    beta_witness: dict = {}
-    for k, x in enumerate(xs):
-        d = PAIR_DISTANCES[k % len(PAIR_DISTANCES)]
-        step = rng.uniform(-1.0, 1.0, size=dim)
-        peak = np.max(np.abs(step))
-        if peak == 0.0:
-            continue
-        step *= d / peak
-        x2 = x + step
-        for i in range(dim):
-            a = reg.conjugate_partial2(x, i)
-            b = reg.conjugate_partial2(x2, i)
-            if a <= 0.0 or b <= 0.0:
-                if strict_ok:
-                    strict_ok = False
-                    convexity_witness = [float(v) for v in (x if a <= 0.0 else x2)]
-                continue
-            quot = abs(math.log(a) - math.log(b)) / d
-            if quot > emp_beta:
-                emp_beta = quot
-                beta_witness = {
-                    "x": [float(v) for v in x],
-                    "x_prime": [float(v) for v in x2],
-                    "coordinate": i,
-                    "distance": d,
-                }
+    ratio = np.divide(p2, p3, out=np.full_like(p2, math.inf), where=(p2 > 0.0) & (p3 != 0.0))
+    k, i = divmod(int(ratio.argmin()), dim)
+    emp_alpha = float(ratio[k, i])
+    alpha_witness = xs[k].tolist() if emp_alpha < math.inf else []
+
+    usable = paired[:, None] & (p2 > 0.0) & (q2 > 0.0)  # log(1) - log(1) = 0 elsewhere
+    quot = np.abs(_log(np.where(usable, p2, 1.0)) - _log(np.where(usable, q2, 1.0))) / dist[:, None]
+    k, i = divmod(int(quot.argmax()), dim)
+    emp_beta = float(quot[k, i])
+    beta_witness = (
+        {"x": xs[k].tolist(), "x_prime": partners[k].tolist(), "coordinate": i, "distance": float(dist[k])}
+        if emp_beta > 0.0
+        else {}
+    )
 
     declared_alpha = reg.declared.alpha if reg.declared else None
     declared_beta = reg.declared.beta if reg.declared else None

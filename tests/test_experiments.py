@@ -1,6 +1,7 @@
 """Harness behavior: settings, trials, complexity search, bounds, online runs."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -157,6 +158,38 @@ class TestSuccessProbability:
                 records.append([d.to_record() for d in draws])
         assert len(records[0]) == 40
         assert all(r == records[0] for r in records)
+
+    def test_pool_has_at_most_one_worker_per_chunk_and_cpu(self, monkeypatch):
+        # the executor is replaced by a serial recorder, so no pool is started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        setting = random_setting(3, 4, seed=50)
+        seeds = [(derive_seed(51, 1, k), derive_seed(51, 2, k)) for k in range(200)]
+        monkeypatch.setattr(experiments, "DRAW_CHUNK", 1)  # one trial per chunk
+        serial = [d.to_record() for d in experiments._draw_winners(setting.beliefs, setting.theta, Elf(), seeds)]
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "_available_cpus", lambda: 4)
+        for threads, trials, pool in ((48, 200, 4), (3, 200, 3), (48, 2, 2), (48, 1, None), (1, 200, None)):
+            sizes.clear()
+            draws = experiments._draw_winners(setting.beliefs, setting.theta, Elf(), seeds[:trials], threads)
+            assert sizes == ([] if pool is None else [pool])
+            assert [d.to_record() for d in draws] == serial[:trials]
+
+    def test_available_cpus_is_positive(self):
+        assert 1 <= experiments._available_cpus() <= (os.cpu_count() or 1)
 
     def test_wilson_interval_values(self):
         lower, upper, half = wilson_interval(90, 100)

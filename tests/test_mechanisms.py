@@ -536,6 +536,21 @@ def test_mw_distribution_property(data):
     assert abs(pi.sum() - 1.0) <= 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mw_select_is_the_softmax_it_had(data):
+    # mw_select is the negative-entropy conjugate gradient; before, it kept
+    # its own copy of the softmax, which is the oracle here
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    m = data.draw(st.integers(min_value=0, max_value=12))
+    reports = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=float)
+    eta = data.draw(st.floats(min_value=1e-4, max_value=50.0))
+    z = eta * score_totals(reports, y)
+    e = np.exp(z - z.max())
+    assert np.array_equal(mw_select(reports, y, eta), e / e.sum())
+
+
 # The per-trial samplers that ``draw`` replaced, kept as its oracle: one
 # generator per trial, a fresh point table and its cumulative sums per trial
 # for the lotteries, and n scalar Laplace draws for noisy max.

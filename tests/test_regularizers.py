@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from forecastcomp.regularizers import (
+    BETA_TOL,
     L2,
     NEG_ENTROPY,
+    PAIR_DISTANCES,
+    ConditionReport,
     condition_check,
     entropy_conjugate,
     entropy_conjugate_grad,
@@ -242,3 +247,118 @@ class TestConditionCheck:
         assert d["regularizer"] == "negative_entropy"
         assert d["declared_alpha"] == 2.0
         assert d["declared_beta"] == 3.0
+
+
+# The per-point, per-coordinate loops that condition_check replaced, kept as
+# its oracle: every partial is evaluated at one score vector at a time.
+
+def _loop_condition_check(reg, sample_count, domain_radius, rng_seed, dim=2) -> dict:
+    rng = np.random.default_rng(rng_seed)
+    xs = rng.uniform(-domain_radius, domain_radius, size=(sample_count, dim))
+
+    emp_alpha = math.inf
+    alpha_witness = []
+    strict_ok = True
+    convexity_witness = None
+
+    for x in xs:
+        for i in range(dim):
+            p2 = reg.conjugate_partial2(x, i)
+            if p2 <= 0.0:
+                if strict_ok:
+                    strict_ok = False
+                    convexity_witness = [float(v) for v in x]
+                continue
+            p3 = abs(reg.conjugate_partial3(x, i))
+            ratio = math.inf if p3 == 0.0 else p2 / p3
+            if ratio < emp_alpha:
+                emp_alpha = ratio
+                alpha_witness = [float(v) for v in x]
+
+    emp_beta = 0.0
+    beta_witness = {}
+    for k, x in enumerate(xs):
+        d = PAIR_DISTANCES[k % len(PAIR_DISTANCES)]
+        step = rng.uniform(-1.0, 1.0, size=dim)
+        peak = np.max(np.abs(step))
+        if peak == 0.0:
+            continue
+        step *= d / peak
+        x2 = x + step
+        for i in range(dim):
+            a = reg.conjugate_partial2(x, i)
+            b = reg.conjugate_partial2(x2, i)
+            if a <= 0.0 or b <= 0.0:
+                if strict_ok:
+                    strict_ok = False
+                    convexity_witness = [float(v) for v in (x if a <= 0.0 else x2)]
+                continue
+            quot = abs(math.log(a) - math.log(b)) / d
+            if quot > emp_beta:
+                emp_beta = quot
+                beta_witness = {
+                    "x": [float(v) for v in x],
+                    "x_prime": [float(v) for v in x2],
+                    "coordinate": i,
+                    "distance": d,
+                }
+
+    declared_alpha = reg.declared.alpha if reg.declared else None
+    declared_beta = reg.declared.beta if reg.declared else None
+    passed = strict_ok
+    if passed and declared_alpha is not None and emp_alpha < declared_alpha:
+        passed = False
+    if passed and declared_beta is not None and emp_beta > declared_beta + BETA_TOL:
+        passed = False
+    return ConditionReport(
+        regularizer=reg.name,
+        dim=dim,
+        domain_radius=domain_radius,
+        sample_count=sample_count,
+        declared_alpha=declared_alpha,
+        declared_beta=declared_beta,
+        empirical_alpha=emp_alpha,
+        empirical_beta=emp_beta,
+        alpha_witness=alpha_witness,
+        beta_witness=beta_witness,
+        strict_convexity_ok=strict_ok,
+        convexity_witness=convexity_witness,
+        passed=passed,
+    ).to_dict()
+
+
+REGULARIZERS = st.sampled_from([NEG_ENTROPY, L2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    reg=REGULARIZERS,
+    sample_count=st.integers(min_value=1, max_value=300),
+    dim=st.integers(min_value=2, max_value=5),
+    radius=st.floats(min_value=0.01, max_value=40.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_condition_check_matches_the_loop_oracle(reg, sample_count, dim, radius, seed):
+    report = condition_check(reg, sample_count=sample_count, domain_radius=radius, rng_seed=seed, dim=dim)
+    assert report.to_dict() == _loop_condition_check(reg, sample_count, radius, seed, dim)
+
+
+@pytest.mark.parametrize(
+    "reg, radius, seed, dim", [(NEG_ENTROPY, 0.5, 104, 2), (L2, 5.0, 105, 3)], ids=["neg_entropy", "l2"]
+)
+def test_condition_check_matches_the_loop_oracle_on_the_acceptance_configs(reg, radius, seed, dim):
+    report = condition_check(reg, sample_count=10_000, domain_radius=radius, rng_seed=seed, dim=dim)
+    assert report.to_dict() == _loop_condition_check(reg, 10_000, radius, seed, dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reg=REGULARIZERS, data=st.data())
+def test_partials_of_a_stack_are_the_partials_of_its_rows(reg, data):
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    rows = data.draw(st.integers(min_value=1, max_value=20))
+    xs = data.draw(arrays(float, (rows, n), elements=st.floats(min_value=-40.0, max_value=40.0)))
+    for i in range(n):
+        for partial in (reg.conjugate_partial2, reg.conjugate_partial3):
+            stacked = partial(xs, i)
+            assert stacked.shape == (rows,)
+            assert np.array_equal(stacked, [partial(x, i) for x in xs])
