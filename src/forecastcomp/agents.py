@@ -8,8 +8,9 @@ their own beliefs and the mechanism's randomness.  This module provides:
   (with a Monte Carlo fallback beyond the enumeration budget),
 - the closed-form leave-one-out optimal report for regularized-leader
   mechanisms and the fixed-point optimal report for noisy-max selection,
-- a full best-response solver (cyclic coordinate ascent with golden-section
-  line search, multi-started),
+- a full best-response solver (cyclic coordinate ascent, multi-started,
+  with golden-section line search where the mechanism certifies unimodality
+  and otherwise a coordinate grid evaluated in one ``law`` call),
 - a dominance check that clamps out-of-band coordinates toward beliefs and
   verifies the exact utility strictly improves,
 - truthfulness-gap sweeps comparing empirical best-response deviations
@@ -187,21 +188,31 @@ def _outcome_weights(beliefs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.prod(bits * beliefs + (1.0 - bits) * (1.0 - beliefs), axis=1)
 
 
-def _exact_utility(ctx: StrategicContext) -> Callable[[np.ndarray], float]:
-    """Expected win probability of agent 0 as a function of their report.
+def _exact_utility(ctx: StrategicContext) -> Callable[[np.ndarray], float | np.ndarray]:
+    """Expected win probability of agent 0 as a function of their report: a
+    float for an (m,) report, a (G,) array for a (G, m) stack of candidates.
 
     Enumerates all outcome vectors once; the mechanism's utility kernel
-    evaluates its law over all of them in one call.
+    evaluates its law over all of them, and over every candidate, in one call.
+    Each candidate's expectation is its own 1-D ``np.dot``: a matrix-vector
+    product over the stack rounds differently in the last bits.
     """
     if ctx.m > ENUM_BUDGET:
         raise ValueError(
-            f"m={ctx.m} exceeds the exact enumeration budget {ENUM_BUDGET}; "
-            "pass mc_trials for a Monte Carlo estimate"
+            f"m={ctx.m} exceeds the exact enumeration budget {ENUM_BUDGET}: "
+            f"the exact solver enumerates all 2^m outcome vectors and needs m <= {ENUM_BUDGET}"
         )
     bits = _outcome_table(ctx.m)
     weights = _outcome_weights(ctx.own_beliefs, bits)
     win_probs = ctx.mechanism.utility_kernel(ctx.opponent_reports, bits)
-    return lambda report: float(np.dot(weights, win_probs(np.asarray(report, dtype=float))))
+
+    def utility(report):
+        probs = win_probs(np.asarray(report, dtype=float))
+        if probs.ndim == 1:
+            return float(np.dot(weights, probs))
+        return np.array([np.dot(weights, row) for row in probs])
+
+    return utility
 
 
 def expected_win_prob(
@@ -394,9 +405,13 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
     search when the mechanism guarantees per-coordinate unimodality of the
     expected utility (regularized leaders, noisy max).  Mechanisms without
     that guarantee (Simple Max, event lotteries) fall back to a dense
-    coordinate grid and the result is flagged non-certified.
+    coordinate grid of ``GRID_POINTS`` values, all evaluated by one call of
+    the mechanism's ``law`` on the (GRID_POINTS, m) stack of candidate
+    reports, and the result is flagged non-certified.
 
     The solver multi-starts (beliefs plus random starts) and keeps the best.
+    The utility is exact, over all 2^m outcome vectors, so m must be at most
+    ``ENUM_BUDGET``.
     """
     utility = _exact_utility(ctx)
     m = ctx.m
@@ -423,7 +438,9 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
                 if certified:
                     x, fx = golden_section_max(f, 0.0, 1.0, xtol=COORD_TOL)
                 else:
-                    vals = np.array([f(float(v)) for v in grid])
+                    candidates = np.repeat(r[None], GRID_POINTS, axis=0)
+                    candidates[:, t] = grid
+                    vals = utility(candidates)
                     k = int(np.argmax(vals))
                     x, fx = float(grid[k]), float(vals[k])
                 # Only a strict gain moves the coordinate: on a flat utility the

@@ -9,11 +9,17 @@ must pass independent seeds; nothing here touches global RNG state.
 
 Every mechanism is one frozen dataclass with the same interface:
 
-- ``law(reports, outcomes, budget)``: the exact selection law given (R, y),
-  (n,) for outcomes (m,) and (B, n) for a (B, m) stack: ``totals_law`` of
-  the (..., n) score totals, or the tally DP over per-event point tables;
+- ``law(reports, outcomes, budget)``: the exact selection law given (R, y):
+  ``totals_law`` of the (..., n) score totals, or the tally DP over
+  per-event point tables.  It takes an (n, m) report matrix or a (..., n, m)
+  stack of them, and (m,) outcomes or a (..., m) stack; the batch axes of
+  the two broadcast, as numpy broadcasts, and the result is (batch..., n).
+  (n, m) reports against (B, m) outcomes give (B, n); a (G, 1, n, m) stack
+  against (B, m) outcomes gives (G, B, n).  Each row is bit for bit the law
+  of its report matrix and outcome vector alone;
 - ``draw(reports, outcomes, seeds)``: one sampled :class:`WinnerDraw` per
-  row of a (B, m) outcome stack, trial k drawing only from
+  row of a (B, m) outcome stack, for one (n, m) report matrix (every
+  sampling entry point refuses a stack of them), trial k drawing only from
   ``np.random.default_rng(seeds[k])``, so a trial draws the same alone as in
   any stack; ``sample(reports, outcomes, seed)`` is its one-row case;
 - ``sampler(reports)``: ``draw`` for one report matrix with the work that
@@ -21,8 +27,9 @@ Every mechanism is one frozen dataclass with the same interface:
   on the same reports; ``trial_elements(n, m)`` is the working-array size
   one trial adds to a stack, by which such callers size their stacks;
 - ``utility_kernel(opponent_reports, bits)``: row 0's report to P(row 0
-  wins) under each outcome row of ``bits``, column 0 of ``law`` (negative-
-  entropy FTRL overrides it with a faster sigmoid closed form);
+  wins) under each outcome row of ``bits``, column 0 of ``law``: (B,) for an
+  (m,) report, (G, B) for a (G, m) stack of candidates in one ``law`` call
+  (negative-entropy FTRL overrides it with a faster sigmoid closed form);
 - ``unimodal``: whether the expected win probability is unimodal in each
   coordinate of one's own report (the best-response solver's certificate);
 - ``truthfulness_band()``: the approximate-truthfulness radius, or None, and
@@ -98,7 +105,7 @@ __all__ = [
 DISTRIBUTION_TOL = 1e-10
 DEFAULT_ENUMERATION_BUDGET = 2**20
 GL_ORDER = 24  # Gauss-Legendre nodes per noisy-max quadrature panel
-_LAW_CHUNK = 256  # outcome rows per evaluation; noisy max holds ~600 nodes per row and forecaster
+_LAW_CHUNK = 256  # rows of the broadcast batch per evaluation; noisy max holds ~600 nodes per row and forecaster
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -154,15 +161,22 @@ def _validate_reports(reports) -> np.ndarray:
     r = np.asarray(reports, dtype=float)
     if r.ndim != 2:
         raise ValueError(f"reports must be a 2-D (n, m) matrix, got shape {r.shape}")
-    if r.shape[1] > 0:
+    return _validate_stack(r)
+
+
+def _validate_stack(reports) -> np.ndarray:
+    r = np.asarray(reports, dtype=float)
+    if r.ndim < 2:
+        raise ValueError(f"reports must be an (n, m) matrix or a (..., n, m) stack, got shape {r.shape}")
+    if r.shape[-1] > 0:
         as_probabilities(r, "reports")
     return r
 
 
 def _scores(r: np.ndarray, outcomes) -> np.ndarray:
-    """(..., n, m) quadratic scores of validated (n, m) reports against (..., m) outcomes."""
+    """(..., n, m) quadratic scores of validated (..., n, m) reports against (..., m) outcomes."""
     y = as_outcomes(outcomes)
-    if y.shape[-1] != r.shape[1]:
+    if y.shape[-1] != r.shape[-1]:
         raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
     s = y[..., None, :] - r
     np.square(s, out=s)
@@ -175,8 +189,8 @@ def score_totals(reports, outcomes) -> np.ndarray:
 
 
 def _totals(r: np.ndarray, outcomes) -> np.ndarray:
-    if r.shape[1] == 0:
-        return np.zeros(np.shape(outcomes)[:-1] + (r.shape[0],))
+    if r.shape[-1] == 0:
+        return np.zeros(np.broadcast_shapes(np.shape(outcomes)[:-1], r.shape[:-2]) + r.shape[-2:-1])
     return _scores(r, outcomes).sum(axis=-1)
 
 
@@ -185,6 +199,13 @@ def _totals_for_outcomes(reports: np.ndarray, bits: np.ndarray) -> np.ndarray:
     # outcome row of ``bits`` at once
     base = np.sum(1.0 - reports**2, axis=-1)
     return base + bits @ (2.0 * reports - 1.0).T
+
+
+def _batch_rows(a: np.ndarray, index: tuple[np.ndarray, ...], core: int) -> np.ndarray:
+    """The rows at the unravelled ``index`` of ``a``'s broadcast over a batch
+    of ``len(index)`` axes, its last ``core`` axes kept, copying only those rows."""
+    a = a.reshape((1,) * (len(index) + core - a.ndim) + a.shape)
+    return a[tuple(i if size > 1 else 0 for i, size in zip(index, a.shape))]
 
 
 def _categorical_draw(probs: np.ndarray, u: float) -> int:
@@ -263,11 +284,20 @@ class _Mechanism:
     unimodal: ClassVar[bool] = False
 
     def law(self, reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
-        """The law for outcomes (m,), or each row of a (B, m) stack, by the family's ``_law``."""
+        """The (..., n) law of (..., n, m) reports against (..., m) outcomes,
+        batch axes broadcast, by the family's ``_law`` on at most
+        ``_LAW_CHUNK`` rows of the broadcast batch at a time."""
+        r = _validate_stack(reports)
         y = np.asarray(outcomes, dtype=float)
-        if y.ndim < 2 or len(y) <= _LAW_CHUNK:
-            return self._law(reports, y, budget)
-        return np.concatenate([self._law(reports, y[k:k + _LAW_CHUNK], budget) for k in range(0, len(y), _LAW_CHUNK)])
+        batch = np.broadcast_shapes(r.shape[:-2], y.shape[:-1])
+        rows = math.prod(batch)
+        if rows <= _LAW_CHUNK:
+            return self._law(r, y, budget)
+        chunks = []
+        for k in range(0, rows, _LAW_CHUNK):
+            index = np.unravel_index(np.arange(k, min(k + _LAW_CHUNK, rows)), batch)
+            chunks.append(self._law(_batch_rows(r, index, 2), _batch_rows(y, index, 1), budget))
+        return np.concatenate(chunks).reshape(batch + r.shape[-2:-1])
 
     def draw(self, reports, outcomes, seeds: Sequence[int]) -> list[WinnerDraw]:
         """One sampled winner per row of a (B, m) outcome stack.  Trial k's
@@ -289,7 +319,16 @@ class _Mechanism:
         return n * m
 
     def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda report: self.law(np.vstack([report, opponent_reports]), bits)[:, 0]
+        """Own report to P(row 0 wins) under each row of (B, m) ``bits``, the
+        opponents' (n - 1, m) reports below it: (B,) for an (m,) report and
+        (G, B) for a (G, m) stack of candidate reports, one ``law`` call each."""
+        def win_probs(own: np.ndarray) -> np.ndarray:
+            # (..., m) own reports atop the opponents: one (..., 1, n, m) stack against every outcome row
+            own = own[..., None, :]
+            others = np.broadcast_to(opponent_reports, own.shape[:-2] + opponent_reports.shape)
+            return self.law(np.concatenate([own, others], axis=-2)[..., None, :, :], bits)[..., 0]
+
+        return win_probs
 
     def truthfulness_band(self) -> tuple[float | None, dict]:
         return None, {}
@@ -299,7 +338,7 @@ class _TotalsMechanism(_Mechanism):
     """A mechanism whose law depends on the reports only through score totals."""
 
     def _law(self, reports, outcomes, budget):
-        return self.totals_law(score_totals(reports, outcomes))
+        return self.totals_law(_totals(reports, outcomes))
 
     def totals_law(self, totals: np.ndarray) -> np.ndarray:
         """Map (..., n) score totals to (..., n) selection laws."""
@@ -318,7 +357,8 @@ class _PointLottery(_Mechanism):
     """One point per event by lottery; the point leader wins, ties uniform.
 
     Subclasses give ``point_probs(reports, outcomes)``, the (..., m, n) table
-    of per-event point probabilities for (..., m) outcomes.
+    of per-event point probabilities for (..., n, m) reports and (..., m)
+    outcomes, batch axes broadcast.
     """
 
     def point_probs(self, reports, outcomes) -> np.ndarray:
@@ -350,7 +390,7 @@ class _PointLottery(_Mechanism):
         depends only on its own event and outcome, so these hold every row a
         trial uses; one ``point_probs`` call over the two outcome rows makes
         each row as a call on a trial's outcomes would."""
-        r = _lottery_reports(reports)
+        r = _validate_reports(reports)
         cum = np.ascontiguousarray(self.point_probs(r, np.repeat([[0.0], [1.0]], r.shape[1], axis=1)))
         np.cumsum(cum, axis=-1, out=cum)
         totals = cum[..., -1].copy()
@@ -386,28 +426,30 @@ def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
 # ---------------------------------------------------------------------------
 
 def _lottery_reports(reports) -> np.ndarray:
-    r = _validate_reports(reports)
-    if r.shape[0] < 2:
-        raise ValueError(f"event lotteries need n >= 2 forecasters, got {r.shape[0]}")
+    r = _validate_stack(reports)
+    if r.shape[-2] < 2:
+        raise ValueError(f"event lotteries need n >= 2 forecasters, got {r.shape[-2]}")
     return r
 
 
 def _rule_point_probs(g: Callable, r: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(..., m, n) table f_ti = 1/n + g(r_it, y_t) - mean over j != i of
-    g(r_jt, y_t) for (..., m) outcomes, with one call of ``g`` on (..., n, m)
-    arrays.  A result outside [0, 1] is a hard error carrying the offending entry.
+    g(r_jt, y_t) for (..., n, m) reports and (..., m) outcomes, batch axes
+    broadcast, with one call of ``g`` on (..., n, m) arrays.  A result outside
+    [0, 1] is a hard error carrying the offending entry.
     """
-    n, m = r.shape
+    n, m = r.shape[-2:]
     if y.shape[-1] != m:
         raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
-    shape = y.shape[:-1] + r.shape
-    gs = np.broadcast_to(g(np.broadcast_to(r, shape), np.broadcast_to(y[..., None, :], shape)), shape)
+    shape = np.broadcast_shapes(y.shape[:-1], r.shape[:-2]) + (n, m)
+    ys = np.broadcast_to(y[..., None, :], shape)
+    gs = np.broadcast_to(g(np.broadcast_to(r, shape), ys), shape)
     gs = np.ascontiguousarray(np.swapaxes(gs, -1, -2), dtype=float)
     f = 1.0 / n + gs - (gs.sum(axis=-1, keepdims=True) - gs) / (n - 1)
     if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
         *row, t, bad = np.unravel_index(int(np.argmax(np.abs(f - 0.5))), f.shape)
         raise ValueError(
-            f"scoring rule g violates its range budget: event {t}, outcome {int(y[(*row, t)])}, "
+            f"scoring rule g violates its range budget: event {t}, outcome {int(ys[(*row, bad, t)])}, "
             f"forecaster {bad} gets point probability {f[(*row, t, bad)]}"
         )
     return np.clip(f, 0.0, 1.0)
@@ -425,10 +467,10 @@ class Elf(_PointLottery):
         s = _scores(r, outcomes)
         # in place, to hold two (..., n, m) arrays at a time
         mean_others = s.sum(axis=-2, keepdims=True) - s
-        mean_others /= r.shape[0] - 1
+        mean_others /= r.shape[-2] - 1
         s += 1.0
         s -= mean_others
-        s /= r.shape[0]
+        s /= r.shape[-2]
         return np.swapaxes(s, -1, -2)
 
 
@@ -436,7 +478,7 @@ class Elf(_PointLottery):
 class PointPerRound(_PointLottery):
     """Point-per-event mechanism driven by a bounded proper scoring rule.
 
-    ``g(r, y)`` maps (n, m) arrays of reports and outcomes to scores (a scalar
+    ``g(r, y)`` maps (..., n, m) arrays of reports and outcomes to scores (a scalar
     applies everywhere).  Its values must lie in an interval of length
     ``range_length``, sampled once at construction, and ``range_length`` must
     be at most 1/n at call time; any per-event probability escaping [0, 1] is
@@ -459,7 +501,7 @@ class PointPerRound(_PointLottery):
 
     def point_probs(self, reports, outcomes):
         r = _lottery_reports(reports)
-        n = r.shape[0]
+        n = r.shape[-2]
         if self.range_length > 1.0 / n + 1e-12:
             raise ValueError(f"declared range length {self.range_length} exceeds 1/n = {1.0 / n} for n={n}")
         return _rule_point_probs(self.g, r, as_outcomes(outcomes))
@@ -576,7 +618,16 @@ class Ftrl(_TotalsMechanism):
         eta, z = self.eta, self.eta * _totals_for_outcomes(opponent_reports, bits)
         zmax = z.max(axis=1)
         log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
-        return lambda own: 1.0 / (1.0 + np.exp(log_a - eta * _totals_for_outcomes(own, bits)))
+
+        def win_probs(own: np.ndarray) -> np.ndarray:
+            if own.ndim == 1:
+                q = _totals_for_outcomes(own, bits)
+            else:
+                # one product per own report: bits @ V.T over a (G, m) stack rounds differently from bits @ v
+                q = np.array([_totals_for_outcomes(v, bits) for v in own])
+            return 1.0 / (1.0 + np.exp(log_a - eta * q))
+
+        return win_probs
 
     def truthfulness_band(self):
         declared = self.regularizer.declared

@@ -24,7 +24,7 @@ from forecastcomp.agents import (
     strategy_report_row,
     truthfulness_gap_sweep,
 )
-from forecastcomp.mechanisms import MultWeights, ReportNoisyMax, SimpleMax
+from forecastcomp.mechanisms import Elf, MultWeights, PointPerRound, ReportNoisyMax, SimpleMax
 from forecastcomp.regularizers import entropy_conjugate_partial2
 
 
@@ -233,6 +233,84 @@ class TestBestResponseFull:
 
                 second = u(v + h) - 2 * u(v) + u(v - h)
                 assert second < 0.0
+
+
+def _loop_best_response_full(ctx: StrategicContext, starts: int, seed: int) -> tuple[agents.BestResponseResult, int]:
+    """The grid branch of ``best_response_full`` with one utility call per
+    grid candidate, as it was before a coordinate's grid became one stacked
+    ``law`` call; also returns its number of line searches."""
+    utility = agents._exact_utility(ctx)
+    rng = np.random.default_rng(seed)
+    start_points = [ctx.own_beliefs.copy()] + [rng.random(ctx.m) for _ in range(max(0, starts - 1))]
+    grid = np.linspace(0.0, 1.0, agents.GRID_POINTS)
+    best_r, best_u, searches = None, -math.inf, 0
+    for r0 in start_points:
+        r = r0.copy()
+        u = utility(r)
+        for _ in range(agents.MAX_CYCLES):
+            moved = 0.0
+            for t in range(ctx.m):
+                old = r[t]
+                vals = []
+                for v in grid:
+                    r[t] = float(v)
+                    vals.append(utility(r))
+                searches += 1
+                k = int(np.argmax(vals))
+                x, fx = float(grid[k]), float(vals[k])
+                if fx > u:
+                    r[t], u = x, fx
+                    moved = max(moved, abs(x - old))
+                else:
+                    r[t] = old
+            if moved <= agents.COORD_TOL:
+                break
+        if u > best_u:
+            best_u, best_r = u, r.copy()
+    return agents.BestResponseResult(report=best_r, expected_utility=best_u, certified=False), searches
+
+
+GRID_MECHANISMS = [Elf(), PointPerRound(g=lambda r, y: (1.0 - (y - r) ** 2) / 4.0, range_length=0.25), SimpleMax()]
+
+
+class TestGridBestResponse:
+    @pytest.mark.parametrize("mechanism", GRID_MECHANISMS, ids=["elf", "point_per_round", "simple_max"])
+    def test_matches_the_per_candidate_loop(self, mechanism):
+        rng = np.random.default_rng(12)
+        for k in range(6):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            ctx = StrategicContext(rng.random((n - 1, m)), rng.random(m), mechanism)
+            res = best_response_full(ctx, starts=2, seed=k)
+            oracle, _ = _loop_best_response_full(ctx, starts=2, seed=k)
+            assert not res.certified
+            np.testing.assert_array_equal(res.report, oracle.report)
+            assert res.expected_utility == oracle.expected_utility
+
+    def test_one_law_call_per_line_search(self, monkeypatch):
+        # the per-candidate loop made 1,811 law calls on this solve
+        rng = np.random.default_rng(13)
+        ctx = StrategicContext(rng.random((2, 3)), rng.random(3), Elf())
+        _, searches = _loop_best_response_full(ctx, starts=2, seed=0)
+        calls = []
+        law = Elf.law
+
+        def counting(self, reports, outcomes, *args):
+            calls.append(np.shape(reports))
+            return law(self, reports, outcomes, *args)
+
+        monkeypatch.setattr(Elf, "law", counting)
+        best_response_full(ctx, starts=2, seed=0)
+        assert len(calls) == 2 + searches
+        assert calls.count((agents.GRID_POINTS, 1, 3, 3)) == searches
+
+    def test_refuses_m_beyond_the_enumeration_budget(self):
+        m = agents.ENUM_BUDGET + 1
+        for mechanism in (Elf(), MultWeights(eta=0.05)):
+            ctx = StrategicContext(np.full((1, m), 0.5), np.full(m, 0.5), mechanism)
+            with pytest.raises(ValueError, match=rf"m={m} exceeds the exact enumeration budget 20: .* needs m <= 20"):
+                best_response_full(ctx)
+        with pytest.raises(ValueError, match=rf"m={m} exceeds the exact enumeration budget 20"):
+            dominance_clamp_check(ctx, np.full(m, 0.5), 0.1)
 
 
 class TestDominanceClamp:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from forecastcomp.mechanisms import (
     selection_law,
     simple_max_select,
 )
+from forecastcomp import mechanisms
 from forecastcomp.mechanisms import _noisy_max_draws, _tally_dp_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
 
@@ -433,6 +435,18 @@ class TestSelectionLawInvariants:
             for k in range(rows):
                 np.testing.assert_array_equal(law[k], config.law(reports, outcomes[k]))
 
+    @pytest.mark.parametrize("config", ALL_CONFIGS + [Ftrl(regularizer=L2, eta=0.2)], ids=ALL_IDS + ["ftrl_l2"])
+    def test_utility_kernel_of_a_candidate_stack_equals_each_candidate(self, config):
+        rng = np.random.default_rng(36)
+        for n, m in [(2, 1), (3, 3), (4, 2)]:
+            opponents, candidates = rng.random((n - 1, m)), rng.random((7, m))
+            bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
+            kernel = config.utility_kernel(opponents, bits)
+            stacked = kernel(candidates)
+            assert stacked.shape == (7, 2**m)
+            for row, candidate in zip(stacked, candidates):
+                np.testing.assert_array_equal(row, kernel(candidate))
+
     def test_winner_draw_records_seed_provenance(self):
         reports, y = random_instance(np.random.default_rng(30))
         for config in (SimpleMax(), Elf(), MultWeights(eta=0.2), ReportNoisyMax(b=4.0)):
@@ -632,3 +646,69 @@ def test_noisy_max_maps_each_uniform_by_the_scalar_laplace_map():
     n, b, seeds = 6, 4.0, list(range(40))
     totals = np.array([[-sample_laplace(rng, b) for _ in range(n)] for rng in map(np.random.default_rng, seeds)])
     assert [d.winner for d in _noisy_max_draws(totals, b, seeds)] == [0] * len(seeds)
+
+
+# n reaches 5, so the scaled rule's range is 1/5
+STACK_CONFIGS = [
+    SimpleMax(),
+    Elf(),
+    PointPerRound(g=lambda r, y: (1.0 - (y - r) ** 2) / 5.0, range_length=0.2),
+    Ftrl(regularizer=L2, eta=0.2),
+    MultWeights(eta=0.2),
+    ReportNoisyMax(b=5.0),
+]
+STACK_IDS = ["simple_max", "elf", "point_per_round", "ftrl_l2", "mw", "noisy_max"]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, mechanisms._LAW_CHUNK])
+@pytest.mark.parametrize("config", STACK_CONFIGS, ids=STACK_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_law_over_a_report_stack_equals_each_matrix(config, chunk, data):
+    # a (G, 1, n, m) grid of report matrices against every outcome vector, as
+    # the best-response line search asks, and a (B, n, m) stack paired row by
+    # row with (B, m) outcomes; chunks of 1 and 7 rows split the broadcast batch
+    n = data.draw(st.integers(2, 5), label="n")
+    m = data.draw(st.integers(1, 5), label="m")
+    prob = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    def matrices(count: int, label: str) -> np.ndarray:
+        flat = data.draw(st.lists(prob, min_size=count * n * m, max_size=count * n * m), label=label)
+        return np.array(flat).reshape(count, n, m)
+
+    grid = matrices(data.draw(st.integers(1, 6), label="G"), "grid")
+    rows = data.draw(st.integers(1, 12), label="B")
+    paired = matrices(rows, "paired")
+    outcomes = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows * m, max_size=rows * m)))
+    outcomes = outcomes.reshape(rows, m)
+    bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
+    with mock.patch.object(mechanisms, "_LAW_CHUNK", chunk):
+        grid_law = config.law(grid[:, None], bits)
+        paired_law = config.law(paired, outcomes)
+    assert grid_law.shape == (len(grid), 2**m, n) and paired_law.shape == (rows, n)
+    for law, reports in zip(grid_law, grid):
+        np.testing.assert_array_equal(law, config.law(reports, bits))
+    for law, reports, y in zip(paired_law, paired, outcomes):
+        np.testing.assert_array_equal(law, config.law(reports, y))
+
+
+@pytest.mark.parametrize("config", STACK_CONFIGS, ids=STACK_IDS)
+def test_samplers_refuse_a_report_stack(config):
+    # law is the one entry point that takes a stack of report matrices
+    stack, y = np.full((2, 3, 2), 0.5), np.ones(2)
+    for call in (
+        lambda: config.sampler(stack),
+        lambda: config.draw(stack, y[None], [0]),
+        lambda: config.sample(stack, y, 0),
+        lambda: select(config, stack, y, 0),
+    ):
+        with pytest.raises(ValueError, match=r"2-D \(n, m\) matrix"):
+            call()
+
+
+def test_elf_point_helpers_refuse_a_report_stack():
+    stack = np.full((2, 3, 2), 0.5)
+    with pytest.raises(ValueError, match=r"2-D \(n, m\) matrix"):
+        elf_point_prob(stack, 1, 0)
+    with pytest.raises(ValueError, match=r"2-D \(n, m\) matrix"):
+        elf_sample_points(stack, np.ones(2), 0)
