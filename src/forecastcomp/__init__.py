@@ -35,7 +35,6 @@ from forecastcomp.regularizers import (
     entropy_conjugate_grad,
     entropy_conjugate_partial2,
     entropy_conjugate_partial3,
-    neg_entropy,
 )
 from forecastcomp.mechanisms import (
     Elf,

@@ -17,7 +17,9 @@ unknown or missing keys against them, then builds the config with the library
 on its smallest instance; whatever the library refuses there is a violation.
 
 Rerunning with the same config and seed produces byte-identical CSV and
-summary bodies at any thread count; only the manifest's wall-clock differs.
+summary bodies; only the manifest's wall-clock differs.  Trials run in order
+on one thread: the ``threads`` key and ``--threads`` flag are still validated
+and echoed in the manifest, but change nothing.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
     reports = build_reports(strategies, setting.beliefs, mechanism)
     trial_seeds = [derive_seed(seed, 5, k) for k in range(trials)]
     draws = _draw_winners(
-        reports, setting.theta, mechanism, [(derive_seed(s, 1), derive_seed(s, 2)) for s in trial_seeds], cfg.threads
+        reports, setting.theta, mechanism, [(derive_seed(s, 1), derive_seed(s, 2)) for s in trial_seeds]
     )
     rows = [[k, d.winner, float(accuracies[d.winner]), d.winner in good] for k, d in enumerate(draws)]
     successes = sum(1 for row in rows if row[3])
@@ -308,7 +310,6 @@ def _cmd_estimate_complexity(cfg: ExperimentConfig, seed: int, trials: int) -> _
         trials,
         seed,
         m_cap=int(cfg.params.get("m_cap", 1 << 20)),
-        threads=cfg.threads,
     )
     rows = [[p.m, p.trials, p.successes, p.rate, p.lower, p.upper, p.decided, p.passed] for p in estimate.probes]
     summary = estimate.to_dict()
@@ -401,9 +402,7 @@ def _cmd_lower_bound_demo(cfg: ExperimentConfig, seed: int, trials: int) -> _Res
     rows = []
     rates = {}
     for idx, (name, mech) in enumerate((("elf", Elf()), ("simple_max", SimpleMax()))):
-        est = estimate_success_prob(
-            setting, strategies, mech, epsilon, trials, derive_seed(seed, 20, idx), cfg.threads
-        )
+        est = estimate_success_prob(setting, strategies, mech, epsilon, trials, derive_seed(seed, 20, idx))
         rates[name] = est.rate
         rows.append([name, n, m, est.trials, est.rate, est.lower, est.upper])
     summary = {
@@ -512,6 +511,9 @@ def _check_number(value, name: str, errs: list[str], *, low=None, high=None, low
         return
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         errs.append(f"{name} must be a number, got {value!r}")
+        return
+    if isinstance(value, float) and not math.isfinite(value):
+        errs.append(f"{name} must be finite, got {value}")
         return
     if low is not None and (value <= low if low_open else value < low):
         op = ">" if low_open else ">="
@@ -703,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--trials", type=int, default=None, help="trial count (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (never affects results)")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; changes nothing")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
     args = parser.parse_args(argv)
 

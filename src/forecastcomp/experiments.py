@@ -6,15 +6,14 @@ theoretical bound calculators, adversarial scenario generators, a
 balls-in-bins maximum-load experiment, and the online no-regret harness.
 
 Every experiment takes one master seed; trial k derives its own stream from
-(master, k), so any trial is reproducible in isolation and results are
-independent of execution order and thread count.
+(master, k), so any trial is reproducible in isolation.  Trials run in order
+on the calling thread, in chunks that bound the working memory; results do
+not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Sequence
 
@@ -62,7 +61,6 @@ __all__ = [
     "online_run",
     "mw_tuned_eta",
     "regret_bound",
-    "entropy_range",
 ]
 
 
@@ -203,35 +201,24 @@ class TrialResult:
         return self.winner in epsilon_optimal_set(self.accuracies, epsilon)
 
 
-def _available_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _draw_winners(
     reports: np.ndarray,
     theta: np.ndarray,
     mechanism: MechanismConfig,
     seeds: Sequence[tuple[int, int]],
-    threads: int = 1,
 ) -> list[WinnerDraw]:
     """The trial engine: trial k samples its outcomes from ``theta`` with
     seed ``seeds[k][0]`` and runs the mechanism on (reports, outcomes) with
-    seed ``seeds[k][1]``, one sampler call per chunk of trials.  Results do
-    not depend on ``threads`` or on the chunk size."""
+    seed ``seeds[k][1]``, one sampler call per chunk of trials, in order.
+    Results do not depend on the chunk size."""
     rows = max(1, DRAW_CHUNK // mechanism.trial_elements(*reports.shape))
     sampler = mechanism.sampler(reports)
-
-    def chunk(start: int) -> list[WinnerDraw]:
+    draws: list[WinnerDraw] = []
+    for start in range(0, len(seeds), rows):
         part = seeds[start:start + rows]
         outcomes = np.array([np.random.default_rng(s).random(theta.size) < theta for s, _ in part], dtype=float)
-        return sampler(outcomes, [s for _, s in part])
-
-    starts = range(0, len(seeds), rows)
-    workers = min(threads, len(starts), _available_cpus())
-    if workers <= 1:
-        return [draw for start in starts for draw in chunk(start)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [draw for part in pool.map(chunk, starts) for draw in part]
+        draws += sampler(outcomes, [s for _, s in part])
+    return draws
 
 
 def run_competition_trial(
@@ -272,14 +259,15 @@ def estimate_success_prob(
 
     Reports are deterministic given strategies, so they are built once and
     shared across trials; only outcomes and the mechanism's own randomness
-    vary per trial.
+    vary per trial.  Trials run in order on the calling thread; ``threads``
+    is accepted and ignored.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     reports = build_reports(strategies, setting.beliefs, mechanism, seed=derive_seed(seed, 0))
     good = setting.epsilon_optimal(epsilon)
     seeds = [(derive_seed(seed, 1, k), derive_seed(seed, 2, k)) for k in range(trials)]
-    successes = sum(draw.winner in good for draw in _draw_winners(reports, setting.theta, mechanism, seeds, threads))
+    successes = sum(draw.winner in good for draw in _draw_winners(reports, setting.theta, mechanism, seeds))
     lower, upper, half = wilson_interval(successes, trials)
     return SuccessEstimate(
         successes=successes,
@@ -352,6 +340,8 @@ def estimate_event_complexity(
     interval; when 1 - delta falls inside the interval the probe doubles its
     trials (up to ``max_trial_scale`` times) before deciding on the point
     estimate.  Success monotonicity in m is assumed for the bracketing.
+    Trials run in order on the calling thread; ``threads`` is accepted and
+    ignored.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -361,9 +351,7 @@ def estimate_event_complexity(
     def probe(m: int) -> ProbeRecord:
         t = trials
         while True:
-            est = estimate_success_prob(
-                setting_family(m), strategies, mechanism, epsilon, t, derive_seed(seed, m, t), threads
-            )
+            est = estimate_success_prob(setting_family(m), strategies, mechanism, epsilon, t, derive_seed(seed, m, t))
             decided = not (est.lower <= target <= est.upper)
             if decided or t >= trials * max_trial_scale:
                 rec = ProbeRecord(
@@ -715,13 +703,6 @@ def online_run(
         regret=max(belief_scores) - mech_score,
         best_index=best_index,
     )
-
-
-def entropy_range(n: int) -> float:
-    """Range of negative entropy over the n-simplex (its regret diameter)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return math.log(n)
 
 
 def mw_tuned_eta(T: int, n: int) -> float:

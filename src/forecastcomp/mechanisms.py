@@ -601,8 +601,8 @@ class Ftrl(_TotalsMechanism):
     eta_ceilings: ClassVar[dict] = {}
 
     def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be > 0 and finite, got {self.eta}")
         _warn_if_eta_outside_truthful_range(self.eta, self.regularizer)
 
     def totals_law(self, totals):
@@ -693,8 +693,8 @@ class ReportNoisyMax(_TotalsMechanism):
     unimodal: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if not self.b >= 4.0:
-            raise ValueError(f"ReportNoisyMax requires b >= 4, got {self.b}")
+        if not (self.b >= 4.0 and math.isfinite(self.b)):
+            raise ValueError(f"ReportNoisyMax requires a finite b >= 4, got {self.b}")
 
     def totals_law(self, totals):
         return noisy_max_law(totals, self.b)

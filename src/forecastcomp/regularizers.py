@@ -39,7 +39,6 @@ __all__ = [
     "CurvatureConstants",
     "Regularizer",
     "ConditionReport",
-    "neg_entropy",
     "entropy_conjugate",
     "entropy_conjugate_grad",
     "entropy_conjugate_partial2",
@@ -54,7 +53,6 @@ __all__ = [
     "L2",
 ]
 
-SIMPLEX_TOL = 1e-9
 FD_STEP = 1e-4  # central-difference step of the finite-difference partials
 PAIR_DISTANCES = (0.01, 0.1, 1.0)  # sup-norm separations of condition_check's beta pairs
 BETA_TOL = 0.01  # slack condition_check allows over a declared beta
@@ -121,23 +119,9 @@ def _as_finite_rows(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def _as_simplex_point(pi, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    arr = _as_finite_vector(pi, "pi")
-    if arr.min() < -tol or abs(arr.sum() - 1.0) > tol:
-        raise ValueError(f"pi must lie in the probability simplex (tol {tol})")
-    return np.clip(arr, 0.0, None)
-
-
 # ---------------------------------------------------------------------------
 # Negative entropy / log-sum-exp
 # ---------------------------------------------------------------------------
-
-def neg_entropy(pi) -> float:
-    """Negative entropy sum_i pi_i log pi_i, with 0 log 0 = 0."""
-    arr = _as_simplex_point(pi)
-    nz = arr[arr > 0.0]
-    return float(np.sum(nz * np.log(nz)))
-
 
 def entropy_conjugate(x) -> float:
     """log-sum-exp of ``x``, computed with max-shift stabilization."""
@@ -335,8 +319,8 @@ def condition_check(
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if domain_radius <= 0.0:
-        raise ValueError(f"domain_radius must be positive, got {domain_radius}")
+    if not (domain_radius > 0.0 and math.isfinite(domain_radius)):
+        raise ValueError(f"domain_radius must be finite and positive, got {domain_radius}")
 
     rng = np.random.default_rng(rng_seed)
     xs = rng.uniform(-domain_radius, domain_radius, size=(sample_count, dim))

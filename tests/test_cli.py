@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -306,6 +307,32 @@ class TestExitCodes:
         assert code == 2
         violations = json.loads(capsys.readouterr().err)["violations"]
         assert len(violations) == 1 and violation in violations[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, violation",
+        [
+            (dict(MINIMAL_RUN, mechanism={"type": "noisy_max", "b": math.inf}), "mechanism.b must be finite, got inf"),
+            (dict(MINIMAL_RUN, mechanism={"type": "mw", "eta": math.inf}), "mechanism.eta must be finite, got inf"),
+            ({"command": "condition-check", "params": {"regularizer": "l2", "samples": 5, "radius": math.inf}},
+             "params.radius must be finite, got inf"),
+            ({"command": "truthfulness-sweep", "mechanism": {"type": "mw", "eta": math.inf},
+              "params": {"n": 3, "m": 2, "contexts": 1}}, "mechanism.eta must be finite, got inf"),
+            ({"command": "condition-check", "params": {"regularizer": "l2", "samples": 5, "radius": math.nan}},
+             "params.radius must be finite, got nan"),
+            (with_params(BOUNDS, epsilons=[-math.inf]), "params.epsilons[0] must be finite, got -inf"),
+        ],
+        ids=["run-noisy-max-b", "run-mw-eta", "condition-radius", "sweep-mw-eta", "condition-radius-nan",
+             "bounds-epsilon-minus-inf"],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, data, violation):
+        # json reads Infinity, -Infinity and NaN as floats
+        path = write_config(tmp_path, data)
+        assert "Infinity" in path.read_text() or "NaN" in path.read_text()
+        out = tmp_path / "x"
+        assert main([data["command"], "--config", str(path), "--out", str(out)]) == 2
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert violations == [violation]
         assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """Harness behavior: settings, trials, complexity search, bounds, online runs."""
 
 import math
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from forecastcomp.experiments import (
     OnlinePreference,
     balls_in_bins_max,
     derive_seed,
-    entropy_range,
     estimate_event_complexity,
     estimate_success_prob,
     gap_setting,
@@ -145,51 +144,37 @@ class TestSuccessProbability:
     @pytest.mark.parametrize("mechanism", [SimpleMax(), Elf(), MultWeights(eta=0.3), ReportNoisyMax(b=4.0)],
                              ids=["simple_max", "elf", "mw", "noisy_max"])
     def test_chunk_size_and_threads_do_not_change_draws(self, mechanism, monkeypatch):
-        # one trial per chunk against the default chunk (all 40 trials), each
-        # at one and two threads; identical beliefs give tied totals and tallies
+        # one trial per chunk against the default chunk (all 40 trials);
+        # identical beliefs give tied totals and tallies
         tied = isinstance(mechanism, SimpleMax)
         setting = (identical_beliefs_setting if tied else random_setting)(5, 7, seed=40)
         seeds = [(derive_seed(41, 1, k), derive_seed(41, 2, k)) for k in range(40)]
         records = []
         for chunk in (1, experiments.DRAW_CHUNK):
             monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
-            for threads in (1, 2):
-                draws = experiments._draw_winners(setting.beliefs, setting.theta, mechanism, seeds, threads)
-                records.append([d.to_record() for d in draws])
+            draws = experiments._draw_winners(setting.beliefs, setting.theta, mechanism, seeds)
+            records.append([d.to_record() for d in draws])
         assert len(records[0]) == 40
         assert all(r == records[0] for r in records)
 
-    def test_pool_has_at_most_one_worker_per_chunk_and_cpu(self, monkeypatch):
-        # the executor is replaced by a serial recorder, so no pool is started
-        sizes = []
+    def test_trials_start_no_thread(self, monkeypatch, tmp_path):
+        # many chunks and a large thread count, through the library and the CLI
+        from forecastcomp.cli import main
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        setting = random_setting(3, 4, seed=50)
-        seeds = [(derive_seed(51, 1, k), derive_seed(51, 2, k)) for k in range(200)]
-        monkeypatch.setattr(experiments, "DRAW_CHUNK", 1)  # one trial per chunk
-        serial = [d.to_record() for d in experiments._draw_winners(setting.beliefs, setting.theta, Elf(), seeds)]
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiments, "_available_cpus", lambda: 4)
-        for threads, trials, pool in ((48, 200, 4), (3, 200, 3), (48, 2, 2), (48, 1, None), (1, 200, None)):
-            sizes.clear()
-            draws = experiments._draw_winners(setting.beliefs, setting.theta, Elf(), seeds[:trials], threads)
-            assert sizes == ([] if pool is None else [pool])
-            assert [d.to_record() for d in draws] == serial[:trials]
-
-    def test_available_cpus_is_positive(self):
-        assert 1 <= experiments._available_cpus() <= (os.cpu_count() or 1)
+        monkeypatch.setattr(experiments, "DRAW_CHUNK", 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        setting = random_setting(4, 6, seed=11)
+        est = estimate_success_prob(setting, [Truthful()] * 4, Elf(), 0.2, 50, seed=12, threads=8)
+        assert est.trials == 50
+        config = tmp_path / "run.json"
+        config.write_text(
+            '{"command": "run", "mechanism": {"type": "elf"}, "setting": {"generator": "random", "n": 4, "m": 6},'
+            ' "params": {"epsilon": 0.2}, "seed": 3, "trials": 30}'
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "8"]) == 0
 
     def test_wilson_interval_values(self):
         lower, upper, half = wilson_interval(90, 100)
@@ -605,9 +590,6 @@ class TestRegretBound:
         T, n = 10**4, 10
         assert regret_bound("mw", T, n) == pytest.approx(2 * math.sqrt(10 * T * math.log(n)), rel=1e-12)
         assert regret_bound("mw", T, n) == pytest.approx(959.7, abs=0.3)
-
-    def test_entropy_range(self):
-        assert entropy_range(2) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_general_matches_mw_for_entropy_constants(self):
         T, n = 5000, 8

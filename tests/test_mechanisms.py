@@ -288,6 +288,12 @@ class TestFtrlAndMw:
         with pytest.raises(ValueError):
             MultWeights(eta=-1.0)
 
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_non_finite_eta_rejected(self, eta):
+        for build in (lambda: MultWeights(eta=eta), lambda: Ftrl(regularizer=L2, eta=eta)):
+            with pytest.raises(ValueError, match="eta must be > 0 and finite"):
+                build()
+
     def test_mult_weights_is_entropy_ftrl(self):
         mw = MultWeights(eta=0.2)
         assert isinstance(mw, Ftrl) and mw.regularizer is NEG_ENTROPY
@@ -348,6 +354,11 @@ class TestReportNoisyMax:
     def test_config_requires_b_at_least_four(self):
         with pytest.raises(ValueError):
             ReportNoisyMax(b=2.0)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_config_requires_finite_b(self, b):
+        with pytest.raises(ValueError, match="requires a finite b >= 4"):
+            ReportNoisyMax(b=b)
 
     def test_laplace_tail_bound(self):
         b, trials = 3.0, 200_000

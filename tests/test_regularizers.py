@@ -23,24 +23,7 @@ from forecastcomp.regularizers import (
     l2_conjugate,
     l2_conjugate_grad,
     l2_conjugate_partial2,
-    neg_entropy,
 )
-
-
-class TestNegEntropy:
-    def test_uniform(self):
-        for n in (2, 3, 7):
-            assert neg_entropy(np.full(n, 1.0 / n)) == pytest.approx(-math.log(n), abs=1e-12)
-
-    def test_point_mass(self):
-        assert neg_entropy([1.0, 0.0, 0.0]) == 0.0
-
-    def test_half_half(self):
-        assert neg_entropy([0.5, 0.5]) == pytest.approx(-math.log(2), abs=1e-15)
-
-    def test_not_simplex(self):
-        with pytest.raises(ValueError):
-            neg_entropy([0.5, 0.6])
 
 
 class TestEntropyConjugate:
@@ -240,6 +223,11 @@ class TestConditionCheck:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             condition_check(NEG_ENTROPY, sample_count=0, domain_radius=1.0, rng_seed=0)
+
+    @pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="domain_radius must be finite and positive"):
+            condition_check(NEG_ENTROPY, sample_count=5, domain_radius=radius, rng_seed=0)
 
     def test_report_round_trips_to_dict(self):
         report = condition_check(NEG_ENTROPY, sample_count=100, domain_radius=0.5, rng_seed=3)
