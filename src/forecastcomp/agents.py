@@ -11,6 +11,9 @@ their own beliefs and the mechanism's randomness.  This module provides:
 - a full best-response solver (cyclic coordinate ascent, multi-started,
   with golden-section line search where the mechanism certifies unimodality
   and otherwise a coordinate grid evaluated in one ``law`` call),
+- the scalar golden-section search, and its lockstep form over G
+  independent brackets with one stacked function call per step (the online
+  harness solves a round's responders with it),
 - a dominance check that clamps out-of-band coordinates toward beliefs and
   verifies the exact utility strictly improves,
 - truthfulness-gap sweeps comparing empirical best-response deviations
@@ -43,6 +46,7 @@ __all__ = [
     "ClampCheck",
     "TruthfulnessGapReport",
     "golden_section_max",
+    "lockstep_golden_section_max",
     "extremize",
     "strategy_report_row",
     "build_reports",
@@ -183,9 +187,10 @@ def _outcome_table(m: int) -> np.ndarray:
 
 
 def _outcome_weights(beliefs: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    if beliefs.size == 0:
-        return np.ones(1)
-    return np.prod(bits * beliefs + (1.0 - bits) * (1.0 - beliefs), axis=1)
+    """The (..., B) probabilities of the (B, m) outcome rows ``bits`` under
+    (..., m) beliefs, one product along the last axis per row."""
+    b = beliefs[..., None, :]
+    return np.prod(bits * b + (1.0 - bits) * (1.0 - b), axis=-1)
 
 
 def _exact_utility(ctx: StrategicContext) -> Callable[[np.ndarray], float | np.ndarray]:
@@ -275,6 +280,44 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float, xtol: 
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def lockstep_golden_section_max(
+    f: Callable[[np.ndarray], np.ndarray], lo, hi, xtol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`golden_section_max` of G independent unimodal functions at once.
+
+    ``f`` maps a (G,) array of points, one per row, to their (G,) values, and
+    row g searches [lo[g], hi[g]].  Every step makes one call of ``f`` for all
+    rows.  A row's bracket arithmetic and comparisons are the scalar
+    search's, applied by ``np.where``, and a row whose bracket is within
+    ``xtol`` stops updating (``f`` still sees a point inside its bracket).
+    So row g returns the bits of ``golden_section_max`` on row g of ``f``.
+    """
+    if not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol}: the bracket stops shrinking at adjacent doubles")
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if np.any(a > b):
+        g = int(np.argmax(a > b))
+        raise ValueError(f"the bracket needs lo <= hi, got [{a[g]}, {b[g]}] in row {g}")
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    live = b - a > xtol
+    while live.any():
+        left = live & (fc >= fd)
+        right = live & ~left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live = b - a > xtol
     x = 0.5 * (a + b)
     return x, f(x)
 

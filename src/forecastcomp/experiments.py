@@ -28,7 +28,7 @@ from forecastcomp.agents import (
     _outcome_weights,
     _Strategy,
     build_reports,
-    golden_section_max,
+    lockstep_golden_section_max,
 )
 from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed
 from forecastcomp.regularizers import Regularizer, regularizer_by_name
@@ -614,8 +614,11 @@ def online_run(
     from rounds 1..t-1 only.  Outcomes never depend on reports, so all T are
     drawn up front, and so is every expert's fixed plan (responders plan
     truthfully).  A round loop runs only for responders, who best-respond to
-    the others' plans (a simultaneous-move reading).  The returned trace
-    carries enough state to replay any pi^t exactly.
+    the others' plans (a simultaneous-move reading).  Their searches are
+    independent, so each round solves the responders that share a preference
+    as one :func:`~forecastcomp.agents.lockstep_golden_section_max` search,
+    whose reports equal those of each responder solved alone.  The returned
+    trace carries enough state to replay any pi^t exactly.
 
     Args:
         beliefs: (n, T) expert belief matrix.
@@ -640,34 +643,35 @@ def online_run(
 
     # Responders at round t answer the plans for rounds t.. (not each other's
     # responses) given the realized totals of the rounds before t, weighing
-    # the selections after rounds t, t+1, .. by ``coefs``.
-    def respond(i: int, t: int, totals: np.ndarray, coefs: list[float]) -> float:
-        horizon, max_horizon = len(coefs), strategies[i].max_horizon
-        if horizon > max_horizon:
-            raise ValueError(
-                f"consistent best response enumerates 2^{horizon} outcome paths; max_horizon is {max_horizon}"
-            )
+    # the selections after rounds t, t+1, .. by ``coefs``.  Their searches are
+    # independent, so the responders ``idx`` that share ``coefs`` run as one
+    # lockstep search over a (G, paths, n) stack: softmax and sums along the
+    # last axis give each row the bits of its responder searched alone.
+    def respond(idx: list[int], t: int, totals: np.ndarray, coefs: list[float]) -> np.ndarray:
+        horizon, rows = len(coefs), np.arange(len(idx))
         paths = _outcome_table(horizon)
-        weights = _outcome_weights(p[i, t : t + horizon], paths)
-        local = planned[:, t : t + horizon].copy()
-        start = np.tile(totals, (paths.shape[0], 1))
+        weights = _outcome_weights(p[idx, t : t + horizon], paths)
+        local = np.repeat(planned[None, :, t : t + horizon], len(idx), axis=0)
 
-        def utility(r: float) -> float:
-            local[i, 0] = r
-            tot, value = start, np.zeros(paths.shape[0])
+        def utility(r: np.ndarray) -> np.ndarray:
+            local[rows, idx, 0] = r
+            tot, value = totals, np.zeros(weights.shape)
             for k in range(horizon):
-                tot = tot + (1.0 - (paths[:, k : k + 1] - local[None, :, k]) ** 2)
+                tot = tot + (1.0 - (paths[:, k : k + 1] - local[:, None, :, k]) ** 2)
                 if coefs[k] > 0.0:
-                    value += coefs[k] * regularizer.conjugate_grad(eta * tot)[:, i]
-            # summed elementwise, not by np.dot: a myopic response adds p * pi1 + (1 - p) * pi0
-            return float(np.sum(weights * value))
+                    value += coefs[k] * regularizer.conjugate_grad(eta * tot)[rows, :, idx]
+            # summed elementwise, not by a dot product: a myopic response adds p * pi1 + (1 - p) * pi0
+            return np.sum(weights * value, axis=-1)
 
-        return golden_section_max(utility, 0.0, 1.0, xtol=1e-8)[0]
+        return lockstep_golden_section_max(utility, np.zeros(len(idx)), np.ones(len(idx)), xtol=1e-8)[0]
 
     unplayable = [s for s in strategies if s.responds and not hasattr(s, "max_horizon")]
     if unplayable:
         raise ValueError(f"online_run cannot play the responders {unplayable}")
     responders = {i: s.preference or preference for i, s in enumerate(strategies) if s.responds}
+    groups: dict[OnlinePreference, list[int]] = {}
+    for i, pref in responders.items():
+        groups.setdefault(pref, []).append(i)
     outcomes = (np.random.default_rng(seed).random(T) < t_vec).astype(float)
     planned = np.vstack([s.plan(p[i]) for i, s in enumerate(strategies)])
     reports = planned
@@ -675,9 +679,15 @@ def online_run(
         reports = planned.copy()
         totals = np.zeros(n)
         for t in range(T):
-            coefs = {pref: pref.weights_after(t, T) for pref in set(responders.values())}
+            coefs = {pref: pref.weights_after(t, T) for pref in groups}
             for i, pref in responders.items():
-                reports[i, t] = respond(i, t, totals, coefs[pref])
+                horizon, max_horizon = len(coefs[pref]), strategies[i].max_horizon
+                if horizon > max_horizon:
+                    raise ValueError(
+                        f"consistent best response enumerates 2^{horizon} outcome paths; max_horizon is {max_horizon}"
+                    )
+            for pref, idx in groups.items():
+                reports[idx, t] = respond(idx, t, totals, coefs[pref])
             totals += 1.0 - (outcomes[t] - reports[:, t]) ** 2
 
     # pis[t] from the scores of rounds before t, as C-contiguous (T, n) rows so

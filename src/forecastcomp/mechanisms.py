@@ -356,16 +356,20 @@ class _TotalsMechanism(_Mechanism):
 class _PointLottery(_Mechanism):
     """One point per event by lottery; the point leader wins, ties uniform.
 
-    Subclasses give ``point_probs(reports, outcomes)``, the (..., m, n) table
-    of per-event point probabilities for (..., n, m) reports and (..., m)
-    outcomes, batch axes broadcast.
+    ``point_probs(reports, outcomes)`` is the (..., m, n) table of per-event
+    point probabilities for (..., n, m) reports and (..., m) outcomes, batch
+    axes broadcast.  Subclasses give it as ``_point_probs`` on reports that
+    are already validated, so that ``law`` validates them once.
     """
 
     def point_probs(self, reports, outcomes) -> np.ndarray:
+        return self._point_probs(_validate_stack(reports), outcomes)
+
+    def _point_probs(self, r: np.ndarray, outcomes) -> np.ndarray:
         raise NotImplementedError
 
     def _law(self, reports, outcomes, budget):
-        return _tally_dp_law(self.point_probs(reports, outcomes), budget)
+        return _tally_dp_law(self._point_probs(reports, outcomes), budget)
 
     def trial_elements(self, n, m):
         """A trial's m uniforms and search positions and its n tallies."""
@@ -391,7 +395,7 @@ class _PointLottery(_Mechanism):
         trial uses; one ``point_probs`` call over the two outcome rows makes
         each row as a call on a trial's outcomes would."""
         r = _validate_reports(reports)
-        cum = np.ascontiguousarray(self.point_probs(r, np.repeat([[0.0], [1.0]], r.shape[1], axis=1)))
+        cum = np.ascontiguousarray(self._point_probs(r, np.repeat([[0.0], [1.0]], r.shape[1], axis=1)))
         np.cumsum(cum, axis=-1, out=cum)
         totals = cum[..., -1].copy()
         # a row is already sorted unless rounding leaves a point probability just below zero
@@ -425,11 +429,9 @@ def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
 # Event-lottery mechanisms
 # ---------------------------------------------------------------------------
 
-def _lottery_reports(reports) -> np.ndarray:
-    r = _validate_stack(reports)
+def _require_two_forecasters(r: np.ndarray) -> None:
     if r.shape[-2] < 2:
         raise ValueError(f"event lotteries need n >= 2 forecasters, got {r.shape[-2]}")
-    return r
 
 
 def _rule_point_probs(g: Callable, r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -459,11 +461,11 @@ def _rule_point_probs(g: Callable, r: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Elf(_PointLottery):
     """One point per event via the wagering lottery; winner is the leader."""
 
-    def point_probs(self, reports, outcomes):
+    def _point_probs(self, r, outcomes):
         """Forecaster i receives the point on event t with probability
         1/n + (1/n) * (S(r_it, y_t) - mean of the other forecasters' scores);
         entries lie in [0, 2/n] and each row sums to 1."""
-        r = _lottery_reports(reports)
+        _require_two_forecasters(r)
         s = _scores(r, outcomes)
         # in place, to hold two (..., n, m) arrays at a time
         mean_others = s.sum(axis=-2, keepdims=True) - s
@@ -499,8 +501,8 @@ class PointPerRound(_PointLottery):
                 f"sampled range of g has length {observed}, exceeding range_length = {self.range_length}"
             )
 
-    def point_probs(self, reports, outcomes):
-        r = _lottery_reports(reports)
+    def _point_probs(self, r, outcomes):
+        _require_two_forecasters(r)
         n = r.shape[-2]
         if self.range_length > 1.0 / n + 1e-12:
             raise ValueError(f"declared range length {self.range_length} exceeds 1/n = {1.0 / n} for n={n}")
@@ -553,7 +555,7 @@ def _tally_dp_law(point_probs: np.ndarray, budget: int) -> np.ndarray:
 
 def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
     """ELF's lottery probabilities for the point on event ``t``."""
-    return Elf().point_probs(_validate_reports(reports)[:, [t]], [y_t])[0]
+    return Elf()._point_probs(_validate_reports(reports)[:, [t]], [y_t])[0]
 
 
 def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
@@ -674,8 +676,8 @@ def mw_select(reports, outcomes, eta: float) -> np.ndarray:
 
 def laplace_from_uniform(u: float, b: float) -> float:
     """Inverse-CDF map from u in (-1/2, 1/2) to a Laplace(0, b) sample."""
-    if b <= 0.0:
-        raise ValueError(f"scale b must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and positive, got {b}")
     return -b * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u)) if u != 0.0 else 0.0
 
 
@@ -712,8 +714,8 @@ def report_noisy_max_select(reports, outcomes, b: float, seed: int) -> WinnerDra
     Ties are measure-zero and broken by lowest index.  The returned
     distribution is the point mass on the realized winner.
     """
-    if b <= 0.0:
-        raise ValueError(f"scale b must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and positive, got {b}")
     return _noisy_max_draws(score_totals(reports, outcomes)[None], b, [seed])[0]
 
 
@@ -748,8 +750,8 @@ def noisy_max_law(totals, b: float) -> np.ndarray:
     share its panels; shorter rows are padded with zero-width panels and sums run in panel order,
     so each row's law is the same alone or in a stack.
     """
-    if b <= 0.0:
-        raise ValueError(f"scale b must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and positive, got {b}")
     q = np.asarray(totals, dtype=float)
     rows = q.reshape(-1, q.shape[-1])
     nodes, weights = _gl_nodes()

@@ -321,6 +321,8 @@ def condition_check(
         raise ValueError(f"dim must be >= 2, got {dim}")
     if not (domain_radius > 0.0 and math.isfinite(domain_radius)):
         raise ValueError(f"domain_radius must be finite and positive, got {domain_radius}")
+    if not math.isfinite(2.0 * domain_radius):
+        raise ValueError(f"domain_radius {domain_radius} is too large: the sampling box width 2r overflows")
 
     rng = np.random.default_rng(rng_seed)
     xs = rng.uniform(-domain_radius, domain_radius, size=(sample_count, dim))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from forecastcomp import agents
 from forecastcomp.agents import (
@@ -18,6 +19,7 @@ from forecastcomp.agents import (
     expected_win_prob,
     extremize,
     golden_section_max,
+    lockstep_golden_section_max,
     mw_leave_one_out_optimum,
     noisy_max_fixed_point,
     round_local_best_response,
@@ -128,6 +130,78 @@ class TestGoldenSection:
         with pytest.raises(ValueError, match="lo <= hi"):
             golden_section_max(f, 1.0, 0.0)
         assert golden_section_max(f, 0.0, 1.0)[0] == pytest.approx(0.3, abs=1e-7)
+
+    def test_lockstep_refuses_a_bracket_it_cannot_search(self):
+        f = lambda x: -((x - 0.3) ** 2)
+        with pytest.raises(ValueError, match="xtol must be positive"):
+            lockstep_golden_section_max(f, np.zeros(2), np.ones(2), xtol=0.0)
+        with pytest.raises(ValueError, match="xtol must be positive"):
+            lockstep_golden_section_max(f, np.zeros(2), np.ones(2), xtol=-1e-8)
+        with pytest.raises(ValueError, match=r"lo <= hi, got \[1.0, 0.5\] in row 1"):
+            lockstep_golden_section_max(f, np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+
+
+# Row g of the stacked test function, by kind: a peak at t with slope s, a
+# plateau of half-width w around t (ties inside it), a constant (ties
+# everywhere), or a wave with several local maxima.  Elementwise numpy
+# arithmetic, so a row computes the same bits alone as in the stack.
+_KINDS = ("peak", "plateau", "flat", "wave")
+
+
+def _stacked_function(kind, t, s, w):
+    def f(x):
+        peak = -s * (x - t) * (x - t)
+        plateau = -np.maximum(np.abs(x - t), w)
+        wave = np.sin(s * x) * t
+        return np.select([kind == 0, kind == 1, kind == 2], [peak, plateau, np.full_like(x, t)], wave)
+
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(_KINDS) - 1),
+            st.floats(min_value=-2.0, max_value=3.0),
+            st.floats(min_value=-2.0, max_value=3.0),
+            st.floats(min_value=0.0, max_value=50.0),
+            st.floats(min_value=0.0, max_value=0.5),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    xtol=st.sampled_from([1e-8, 1e-3, 0.25, 10.0]),
+)
+@example(rows=[(2, 0.0, 1.0, 1.0, 0.0)], xtol=1e-8)
+@example(rows=[(0, 0.0, 1.0, 3.0, 0.0), (1, -1.0, 0.5, 1.0, 0.2), (2, 0.4, 0.4, 0.0, 0.0), (3, 0.0, 3.0, 40.0, 0.0)],
+         xtol=1e-8)
+def test_lockstep_search_equals_each_scalar_search(rows, xtol):
+    kind, lo, hi, s, w = (np.array(v) for v in zip(*rows))
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    t = 0.5 * (lo + hi) + 0.3 * (hi - lo) * np.cos(s)
+    stacked = _stacked_function(kind, t, s, w)
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return stacked(x)
+
+    x, fx = lockstep_golden_section_max(f, lo, hi, xtol=xtol)
+    scalar_calls = []
+    for g in range(len(rows)):
+        alone = _stacked_function(kind[g : g + 1], t[g : g + 1], s[g : g + 1], w[g : g + 1])
+        counted = []
+
+        def f_g(v, alone=alone, counted=counted):
+            counted.append(v)
+            return float(alone(np.array([v]))[0])
+
+        xg, fg = golden_section_max(f_g, lo[g], hi[g], xtol=xtol)
+        assert x[g] == xg and fx[g] == fg
+        scalar_calls.append(len(counted))
+    # one stacked call per step: as many as the longest scalar search made
+    assert calls == [(len(rows),)] * max(scalar_calls)
 
 
 class TestNoisyMaxFixedPoint:

@@ -284,6 +284,8 @@ class TestExitCodes:
               "params": {"n": 3, "m": 30, "contexts": 1}}, "m=30 exceeds the exact enumeration budget 20"),
             ({"command": "condition-check", "params": {"regularizer": "l2", "samples": 5, "radius": 1.0, "dim": 1}},
              "dim must be >= 2, got 1"),
+            ({"command": "condition-check", "params": {"regularizer": "l2", "samples": 5, "radius": 1e308}},
+             "domain_radius 1e+308 is too large: the sampling box width 2r overflows"),
             (with_params(dict(MINIMAL_RUN, mechanism={"type": "elf"}), strategies="round_local_best_response"),
              "round_local best response needs a regularized-leader mechanism"),
             (with_params(dict(MINIMAL_RUN, mechanism={"type": "ftrl", "eta": 0.05, "regularizer": "l2"}),
@@ -298,7 +300,7 @@ class TestExitCodes:
         ids=["ns-below-two", "gap-beyond-spread", "inline-belief-above-one", "bounds-delta-one", "bounds-epsilon-one",
              "bounds-gamma-too-large", "bounds-epsilon-string", "bounds-gamma-string", "complexity-delta-one",
              "lower-bound-n-two", "online-n-one", "online-round-local-preset", "sweep-n-one", "sweep-m-over-budget",
-             "condition-dim-one", "round-local-on-elf", "round-local-on-l2", "round-local-eta-too-large",
+             "condition-dim-one", "condition-radius-overflow", "round-local-on-elf", "round-local-on-l2", "round-local-eta-too-large",
              "run-pull-without-extremizer", "online-pull-without-extremizer"],
     )
     def test_library_preconditions_are_config_errors(self, tmp_path, capsys, data, violation):

@@ -539,6 +539,80 @@ def test_online_run_matches_per_round_oracle(n, T, kinds, pull, eta, regularizer
     assert trace.regret == regret
 
 
+def solo_responder_reports(beliefs, theta, strategies, preference, regularizer, eta, seed):
+    """online_run's reports with every responder of a round solved alone by
+    the scalar ``golden_section_max``: the oracle of the lockstep search."""
+    n, T = beliefs.shape
+    outcomes = (np.random.default_rng(seed).random(T) < theta).astype(float)
+    planned = np.vstack([s.plan(beliefs[i]) for i, s in enumerate(strategies)])
+    reports, totals = planned.copy(), np.zeros(n)
+    for t in range(T):
+        for i, s in enumerate(strategies):
+            if not s.responds:
+                continue
+            coefs = (s.preference or preference).weights_after(t, T)
+            horizon = len(coefs)
+            paths = ((np.arange(2**horizon)[:, None] >> np.arange(horizon)[None, :]) & 1).astype(float)
+            p_i = beliefs[i, t : t + horizon]
+            weights = np.prod(paths * p_i + (1.0 - paths) * (1.0 - p_i), axis=1)
+            local = planned[:, t : t + horizon].copy()
+            start = np.tile(totals, (len(paths), 1))
+
+            def utility(r, i=i, coefs=coefs, paths=paths, weights=weights, local=local, start=start):
+                local[i, 0] = r
+                tot, value = start, np.zeros(len(paths))
+                for k in range(len(coefs)):
+                    tot = tot + (1.0 - (paths[:, k : k + 1] - local[None, :, k]) ** 2)
+                    if coefs[k] > 0.0:
+                        value += coefs[k] * regularizer.conjugate_grad(eta * tot)[:, i]
+                return float(np.sum(weights * value))
+
+            reports[i, t] = golden_section_max(utility, 0.0, 1.0, xtol=1e-8)[0]
+        totals += 1.0 - (outcomes[t] - reports[:, t]) ** 2
+    return reports
+
+
+class TestMixedPreferenceRounds:
+    """Responders of a round that share a preference run as one lockstep
+    search; each group must report what each responder reports alone."""
+
+    @pytest.mark.parametrize("regularizer", [NEG_ENTROPY, L2], ids=["entropy", "l2"])
+    @pytest.mark.parametrize(
+        "preference",
+        [OnlinePreference("consistent_uniform"), OnlinePreference("discounted", 0.7)],
+        ids=["consistent-uniform", "discounted"],
+    )
+    def test_each_group_reports_as_its_responders_alone(self, preference, regularizer):
+        n, T = 5, 7
+        rng = np.random.default_rng(46)
+        beliefs, theta = rng.random((n, T)), rng.random(T)
+        strategies = [
+            MyopicBestResponse(),
+            ConsistentBestResponse(),
+            Truthful(),
+            MyopicBestResponse(),
+            ConsistentBestResponse(),
+        ]
+        trace = online_run(beliefs, theta, strategies, preference, regularizer, 0.05, 47)
+        expected = solo_responder_reports(beliefs, theta, strategies, preference, regularizer, 0.05, 47)
+        assert np.array_equal(trace.reports, expected)
+        # the two groups answer differently: the consistent responders look past the next round
+        assert not np.array_equal(trace.reports[[0, 3]], trace.reports[[1, 4]])
+
+    @pytest.mark.parametrize(
+        "preference",
+        [OnlinePreference("consistent_uniform"), OnlinePreference("discounted", 0.7)],
+        ids=["consistent-uniform", "discounted"],
+    )
+    def test_horizon_refusal_keeps_its_message_beside_a_myopic_group(self, preference):
+        rng = np.random.default_rng(48)
+        strategies = [MyopicBestResponse(), ConsistentBestResponse(max_horizon=5), MyopicBestResponse()]
+        message = "consistent best response enumerates 2^9 outcome paths; max_horizon is 5"
+        with pytest.raises(ValueError) as refused:
+            online_run(rng.random((3, 9)), rng.random(9), strategies, preference, NEG_ENTROPY, 0.05, 49)
+        assert str(refused.value) == message
+
+
 class TestPointGapProperty:
     def test_expected_point_gap_exceeds_threshold(self):
         # leader vs trailer with accuracy gap 0.36 > eps = 0.3: the mean

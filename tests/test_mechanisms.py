@@ -213,6 +213,30 @@ class TestPointPerRound:
             PointPerRound(lambda r, y: (1.0 - (y - r) ** 2) / 2.0, range_length=0.25)
 
 
+class TestLotteryValidation:
+    LOTTERIES = [Elf(), PointPerRound(g=lambda r, y: (1.0 - (y - r) ** 2) / 4.0, range_length=0.25)]
+
+    @pytest.mark.parametrize("mech", LOTTERIES, ids=["elf", "point-per-round"])
+    def test_law_validates_the_reports_once(self, mech):
+        rng = np.random.default_rng(50)
+        reports, bits = rng.random((3, 3)), (rng.random((8, 3)) < 0.5).astype(float)
+        with mock.patch.object(mechanisms, "_validate_stack", wraps=mechanisms._validate_stack) as validate:
+            law = mech.law(reports, bits)
+        assert validate.call_count == 1
+        assert np.array_equal(law, _tally_dp_law(mech.point_probs(reports, bits), 2**20))
+
+    @pytest.mark.parametrize("mech", LOTTERIES, ids=["elf", "point-per-round"])
+    def test_law_and_point_probs_keep_their_refusals(self, mech):
+        y = np.ones(2)
+        for call in (mech.law, mech.point_probs):
+            with pytest.raises(ValueError, match=r"^event lotteries need n >= 2 forecasters, got 1$"):
+                call(np.full((1, 2), 0.5), y)
+            with pytest.raises(ValueError, match=r"^reports entries must lie in \[0, 1\]$"):
+                call(np.full((3, 2), 1.5), y)
+            with pytest.raises(ValueError, match=r"^reports must be an \(n, m\) matrix or a \(\.\.\., n, m\) stack"):
+                call(np.full(2, 0.5), y)
+
+
 class TestFtrlAndMw:
     def test_equal_scores_uniform(self):
         reports = np.full((5, 3), 0.4)
@@ -385,6 +409,15 @@ class TestSampleLaplace:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             laplace_from_uniform(0.2, 0.0)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_refused(self, b):
+        with pytest.raises(ValueError, match="scale b must be finite and positive"):
+            laplace_from_uniform(0.2, b)
+        with pytest.raises(ValueError, match="scale b must be finite and positive"):
+            report_noisy_max_select(np.full((3, 2), 0.5), np.ones(2), b, seed=1)
+        with pytest.raises(ValueError, match="scale b must be finite and positive"):
+            noisy_max_law(np.array([1.0, 2.0]), b)
 
 
 ALL_CONFIGS = [

@@ -229,6 +229,11 @@ class TestConditionCheck:
         with pytest.raises(ValueError, match="domain_radius must be finite and positive"):
             condition_check(NEG_ENTROPY, sample_count=5, domain_radius=radius, rng_seed=0)
 
+    @pytest.mark.parametrize("radius", [1e308, 1.7e308])
+    def test_radius_whose_box_width_overflows_rejected(self, radius):
+        with pytest.raises(ValueError, match="the sampling box width 2r overflows"):
+            condition_check(NEG_ENTROPY, sample_count=5, domain_radius=radius, rng_seed=0)
+
     def test_report_round_trips_to_dict(self):
         report = condition_check(NEG_ENTROPY, sample_count=100, domain_radius=0.5, rng_seed=3)
         d = report.to_dict()
