@@ -31,7 +31,6 @@ from forecastcomp.regularizers import (
     CurvatureConstants,
     Regularizer,
     condition_check,
-    entropy_conjugate,
     entropy_conjugate_grad,
     entropy_conjugate_partial2,
     entropy_conjugate_partial3,

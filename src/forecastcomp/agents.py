@@ -499,7 +499,8 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
         if u > best_u:
             best_u = u
             best_r = r.copy()
-    assert best_r is not None
+    if best_r is None:
+        raise ValueError(f"every start's expected utility was non-finite ({len(start_points)} starts)")
     return BestResponseResult(report=best_r, expected_utility=best_u, certified=certified)
 
 

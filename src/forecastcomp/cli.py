@@ -144,8 +144,19 @@ _PRESETS: dict[str, Callable[[float], object]] = {
 # A mechanism type that names a published bound is its own bound variant.
 _BOUND_VARIANTS = ("simple_max", "elf", "elf_proof", "mw", "noisy_max")
 
+_M_CAP = 1 << 20  # estimate-complexity's default largest m
 
-def _build_mechanism(spec: dict, n: int) -> MechanismConfig:
+
+def _require_finite_scaled_totals(name: str, eta: float, m: int, events: str = "m") -> None:
+    """Refuse a learning rate whose eta * m overflows: a leader's score totals reach m, its number of events."""
+    if not math.isfinite(eta * m):
+        raise ValueError(f"{name} = {eta} is too large for {events} = {m}: eta * {events} overflows")
+
+
+def _build_mechanism(spec: dict, n: int, m: int | None = None) -> MechanismConfig:
+    """The mechanism of ``spec`` for n forecasters, checked against up to m events if m is given."""
+    if "eta" in spec and m is not None:
+        _require_finite_scaled_totals("mechanism.eta", float(spec["eta"]), m)
     return _MECHANISMS[spec["type"]][2](spec, n)
 
 
@@ -254,9 +265,9 @@ def _attempt(errs: list[str], build: Callable, *inputs):
         return None
 
 
-def _check_players(cfg: ExperimentConfig, setting: CompetitionSetting | None, errs: list[str]) -> tuple:
+def _check_players(cfg: ExperimentConfig, setting: CompetitionSetting | None, m: int, errs: list[str]) -> tuple:
     n = setting.n if setting is not None else 2
-    return _attempt(errs, _build_mechanism, cfg.mechanism, n), _attempt(errs, _build_strategies, cfg.params, n)
+    return _attempt(errs, _build_mechanism, cfg.mechanism, n, m), _attempt(errs, _build_strategies, cfg.params, n)
 
 
 def _cmd_run(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
@@ -290,7 +301,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
 
 def _check_run(cfg: ExperimentConfig, errs: list[str]) -> None:
     setting = _attempt(errs, _build_setting, cfg.setting, 0)
-    mechanism, strategies = _check_players(cfg, setting, errs)
+    mechanism, strategies = _check_players(cfg, setting, 1 if setting is None else setting.m, errs)
     _attempt(errs, build_reports, strategies, None if setting is None else setting.beliefs[:, :1], mechanism)
 
 
@@ -309,7 +320,7 @@ def _cmd_estimate_complexity(cfg: ExperimentConfig, seed: int, trials: int) -> _
         delta,
         trials,
         seed,
-        m_cap=int(cfg.params.get("m_cap", 1 << 20)),
+        m_cap=int(cfg.params.get("m_cap", _M_CAP)),
     )
     rows = [[p.m, p.trials, p.successes, p.rate, p.lower, p.upper, p.decided, p.passed] for p in estimate.probes]
     summary = estimate.to_dict()
@@ -330,7 +341,8 @@ def _check_estimate_complexity(cfg: ExperimentConfig, errs: list[str]) -> None:
         _bound(cfg.mechanism["type"], setting.n, epsilon, delta)  # the summary's bound
 
     setting = _attempt(errs, _build_setting, cfg.setting, 0, 1)
-    _attempt(errs, smallest_search, setting, *_check_players(cfg, setting, errs))
+    m_cap = 1 if cfg.params is None else cfg.params.get("m_cap", _M_CAP)
+    _attempt(errs, smallest_search, setting, *_check_players(cfg, setting, m_cap, errs))
 
 
 def _cmd_truthfulness_sweep(cfg: ExperimentConfig, seed: int, trials: int | None) -> _Result:
@@ -344,7 +356,8 @@ def _cmd_truthfulness_sweep(cfg: ExperimentConfig, seed: int, trials: int | None
 
 
 def _check_truthfulness_sweep(cfg: ExperimentConfig, errs: list[str]) -> None:
-    mechanism = _attempt(errs, _build_mechanism, cfg.mechanism, 2 if cfg.params is None else cfg.params["n"])
+    n, m = (2, 1) if cfg.params is None else (cfg.params["n"], cfg.params["m"])
+    mechanism = _attempt(errs, _build_mechanism, cfg.mechanism, n, m)
     _attempt(errs, lambda mech, p: truthfulness_gap_sweep(mech, p["n"], p["m"], 0, 0), mechanism, cfg.params)
 
 
@@ -356,6 +369,7 @@ def _online(params: dict) -> tuple:
     n, T = int(params["n"]), int(params["T"])
     eta = params.get("eta", "auto")
     eta = mw_tuned_eta(T, n) if eta == "auto" else float(eta)
+    _require_finite_scaled_totals("params.eta", eta, T, "T")
     # online_run refuses an eta <= 0 with its own message; the pull stays in [0, 1]
     strategies = _build_strategies(params, n, pull=min(1.0, max(0.0, 4.0 * eta)))
     return n, T, eta, strategies, regret_bound("mw", T, n) if T >= 8 else None
@@ -429,11 +443,13 @@ def _condition_report(params: dict, seed: int, samples: int):
 
 def _cmd_condition_check(cfg: ExperimentConfig, seed: int, trials: int | None) -> _Result:
     r = _condition_report(cfg.params, seed, int(cfg.params["samples"]))
+    # no sampled point with a finite ratio leaves alpha infinite: null, which strict JSON readers take
+    alpha = r.empirical_alpha if math.isfinite(r.empirical_alpha) else None
     header = ["regularizer", "dim", "radius", "samples", "empirical_alpha", "empirical_beta", "strict_convexity_ok",
               "passed"]
-    row = [r.regularizer, r.dim, r.domain_radius, r.sample_count, r.empirical_alpha, r.empirical_beta,
+    row = [r.regularizer, r.dim, r.domain_radius, r.sample_count, "" if alpha is None else alpha, r.empirical_beta,
            r.strict_convexity_ok, r.passed]
-    return header, [row], r.to_dict()
+    return header, [row], {**r.to_dict(), "empirical_alpha": alpha}
 
 
 def _bounds_rows(params: dict) -> tuple[list[str], list[list]]:

@@ -98,14 +98,15 @@ __all__ = [
     "sample_laplace",
     "sample_winner",
     "selection_law",
-    "mc_winner_law",
     "select",
 ]
 
 DISTRIBUTION_TOL = 1e-10
 DEFAULT_ENUMERATION_BUDGET = 2**20
-GL_ORDER = 24  # Gauss-Legendre nodes per noisy-max quadrature panel
-_LAW_CHUNK = 256  # rows of the broadcast batch per evaluation; noisy max holds ~600 nodes per row and forecaster
+GL_ORDER = 24  # Gauss-Legendre nodes per noisy-max panel between two sorted totals
+# rows of the broadcast batch per evaluation; per forecaster, a noisy-max row holds GL_ORDER nodes per
+# panel (at least one per gap between its totals, one per 4b of their spread) and 1 + ceil(n/2) tail nodes
+_LAW_CHUNK = 256
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -537,7 +538,7 @@ def _tally_dp_law(point_probs: np.ndarray, budget: int) -> np.ndarray:
     if est_ops > budget:
         raise ValueError(
             f"exact winner law needs ~{est_ops} operations, over budget {budget}; "
-            "use mc_winner_law instead"
+            "estimate it from the mechanism's draw instead"
         )
     tables = point_probs.reshape(-1, m, n)
     steps, tallies = _tally_graph(m, n)
@@ -731,8 +732,8 @@ def _noisy_max_draws(totals: np.ndarray, b: float, seeds: Sequence[int]) -> list
 
 
 @functools.cache
-def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(GL_ORDER)  # imports numpy.polynomial on first use
+def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)  # imports numpy.polynomial on first use
 
 
 def noisy_max_win_prob(totals, b: float, index: int) -> float:
@@ -744,45 +745,70 @@ def noisy_max_law(totals, b: float) -> np.ndarray:
     """Exact selection law of Report Noisy Max given (..., n) score totals.
 
     Over the winner's noisy total x, P(i wins) is the integral of f(x - q_i) prod_{j != i} F(x - q_j),
-    f and F the Laplace(0, b) density and CDF.  It is smooth between the kinks at the totals, so
-    Gauss-Legendre panels between the sorted totals, with 40b tails and at most 4b wide (a panel
-    resolves only a few decay lengths), are exact to near machine precision.  A row's forecasters
-    share its panels; shorter rows are padded with zero-width panels and sums run in panel order,
-    so each row's law is the same alone or in a stack.
+    f and F the Laplace(0, b) density and CDF: the sum of :func:`_noisy_max_terms` in node order, so
+    each row's law is the same alone or in a stack.
     """
     if not 0.0 < b < math.inf:
         raise ValueError(f"scale b must be finite and positive, got {b}")
     q = np.asarray(totals, dtype=float)
-    rows = q.reshape(-1, q.shape[-1])
-    nodes, weights = _gl_nodes()
-    s = np.sort(rows, axis=1)
-    edges = np.column_stack([s[:, 0] - 40.0 * b, s, s[:, -1] + 40.0 * b])
-    width = np.diff(edges, axis=1)
-    pieces = np.maximum(1.0, np.ceil(width / (4.0 * b)))
-    ends = np.cumsum(pieces, axis=1)
-    # panel boundary p lies in gap g, the number of gaps ending at or before p
-    p = np.arange(ends[:, -1].max() + 1)[None, :]
-    gap = np.minimum(np.sum(p[..., None] >= ends[:, None, :], axis=2), width.shape[1] - 1)
-    pick = lambda a: np.take_along_axis(a, gap, axis=1)  # noqa: E731
-    x = np.where(p >= ends[:, -1:], edges[:, -1:], pick(edges) + pick(width) * (p - pick(ends - pieces)) / pick(pieces))
-    half = 0.5 * (x[:, 1:] - x[:, :-1])
-    # (n, B, nodes): forecaster j's offset x - q_j at every node of each row
-    z = ((0.5 * (x[:, 1:] + x[:, :-1]))[..., None] + half[..., None] * nodes).reshape(len(rows), -1) - rows.T[..., None]
-    tail = 0.5 * np.exp(-np.abs(z) / b)  # b f(z), and F(z) for z < 0 or 1 - F(z) for z >= 0
-    cdf = np.where(z < 0.0, tail, 1.0 - tail)
-    # prod_{j != i} F_j as the product of the CDFs before i times those after i
-    others, after = np.ones_like(cdf), np.ones_like(cdf[0])
-    for j in range(1, len(cdf)):
-        others[j] = others[j - 1] * cdf[j - 1]
-    for j in range(len(cdf) - 2, -1, -1):
-        after = after * cdf[j + 1]
-        others[j] *= after
-    terms = (half[..., None] * weights).reshape(len(rows), -1) * tail / b * others
-    law = np.cumsum(terms, axis=-1)[..., -1].T.reshape(q.shape)
+    law = np.cumsum(_noisy_max_terms(q.reshape(-1, q.shape[-1]), b), axis=-1)[..., -1].T.reshape(q.shape)
     total = law.sum(axis=-1, keepdims=True)
     if np.any(np.abs(total - 1.0) > 1e-8):
         raise RuntimeError(f"noisy-max quadrature lost mass: sum={total.ravel()[np.argmax(np.abs(total - 1.0))]}")
     return law / total
+
+
+def _noisy_max_terms(rows: np.ndarray, b: float) -> np.ndarray:
+    """(n, B, nodes) terms of each forecaster's win probability for (B, n) totals, in node order.
+
+    With s a row's sorted totals, the integral has three parts, each a weight times
+    b f(x - q_i) prod_{j != i} F(x - q_j) at its nodes:
+
+    - node 0, left of s_min: every factor is exponential in x, and every forecaster gets
+      prod_j (d_j / 2) / n, d = exp((s_min - q) / b);
+    - then the gaps between the totals, where the integrand is smooth: Gauss-Legendre panels at
+      most 4b wide (a panel resolves only a few decay lengths), exact to near machine precision;
+    - the last ceil(n/2) nodes, right of s_max: w = exp(-(x - s_max) / b) and
+      c = exp(-(s_max - q) / b) make the integral over w in [0, 1] of
+      (1/2) c_i prod_{j != i} (1 - c_j w / 2), a polynomial of degree n - 1 that they integrate
+      exactly.
+
+    A row's forecasters share its nodes; shorter rows are padded with zero-width panels.
+    """
+    n = rows.shape[1]
+    s = np.sort(rows, axis=1)
+    width = s[:, 1:] - s[:, :-1]
+    pieces = np.maximum(1.0, np.ceil(width / (4.0 * b)))
+    starts = np.cumsum(pieces, axis=1) - pieces
+    count = pieces.sum(axis=1, keepdims=True)
+    # panel boundary p lies at fraction t of the one gap with t in [0, 1), or at s_max past the last
+    p = np.arange(count.max() + 1)[:, None]
+    t = (p - starts[:, None, :]) / pieces[:, None, :]
+    x = np.where((t >= 0.0) & (t < 1.0), s[:, None, :-1] + width[:, None, :] * t, 0.0).sum(axis=2)
+    x = np.where(p.T >= count, s[:, -1:], x)
+    nodes, weights = _gl_nodes(GL_ORDER)
+    half = 0.5 * (x[:, 1:] - x[:, :-1])
+    # (n, B, nodes): forecaster j's offset x - q_j at every panel node of each row
+    z = ((0.5 * (x[:, 1:] + x[:, :-1]))[..., None] + half[..., None] * nodes).reshape(len(rows), -1) - rows.T[..., None]
+    gaps = 0.5 * np.exp(-np.abs(z) / b)  # b f(z), and F(z) for z < 0 or 1 - F(z) for z >= 0
+    w, omega = _gl_nodes((n + 1) // 2)
+    w = 0.5 * (w + 1.0)  # on [0, 1], where the weights halve
+    left = 0.5 * np.exp((s[:, :1] - rows) / b).T[..., None]  # d_j / 2: b f and F alike
+    right = 0.5 * np.exp((rows - s[:, -1:]) / b).T[..., None] * w  # c_j w / 2: b f and 1 - F
+    cdf = np.concatenate([left, np.where(z < 0.0, gaps, 1.0 - gaps), 1.0 - right], axis=-1)
+    # each node's weight times b f(x - q_i)
+    dens = np.concatenate([
+        left / n, gaps * (half[..., None] * (weights / b)).reshape(len(rows), -1), right * (0.5 * omega / w),
+    ], axis=-1)
+    # prod_{j != i} F_j as the product of the CDFs before i times those after i
+    others, after = np.ones_like(cdf), np.ones_like(cdf[0])
+    for j in range(1, n):
+        others[j] = others[j - 1] * cdf[j - 1]
+    for j in range(n - 2, -1, -1):
+        after = after * cdf[j + 1]
+        others[j] *= after
+    others *= dens
+    return others
 
 
 MechanismConfig = SimpleMax | Elf | PointPerRound | Ftrl | MultWeights | ReportNoisyMax
@@ -804,14 +830,3 @@ def select(config: MechanismConfig, reports, outcomes, seed: int) -> WinnerDraw:
     """Sample a winner under any mechanism configuration."""
     return config.sample(reports, outcomes, seed)
 
-
-def mc_winner_law(config: MechanismConfig, reports, outcomes, trials: int, seed: int) -> tuple[np.ndarray, float]:
-    """Monte Carlo winner law with its worst-entry standard error."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    r = _validate_reports(reports)
-    y = np.asarray(outcomes, dtype=float)
-    draws = config.draw(r, np.broadcast_to(y, (trials, y.size)), [derive_seed(seed, k) for k in range(trials)])
-    law = np.bincount([d.winner for d in draws], minlength=r.shape[0]) / trials
-    se = float(np.sqrt(np.max(law * (1.0 - law)) / trials))
-    return law, se

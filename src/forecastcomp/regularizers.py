@@ -39,21 +39,17 @@ __all__ = [
     "CurvatureConstants",
     "Regularizer",
     "ConditionReport",
-    "entropy_conjugate",
     "entropy_conjugate_grad",
     "entropy_conjugate_partial2",
     "entropy_conjugate_partial3",
-    "l2_conjugate",
     "l2_conjugate_grad",
     "l2_conjugate_partial2",
     "l2_conjugate_partial3",
-    "finite_difference_partials",
     "condition_check",
     "NEG_ENTROPY",
     "L2",
 ]
 
-FD_STEP = 1e-4  # central-difference step of the finite-difference partials
 PAIR_DISTANCES = (0.01, 0.1, 1.0)  # sup-norm separations of condition_check's beta pairs
 BETA_TOL = 0.01  # slack condition_check allows over a declared beta
 # condition_check takes logs with libm's math.log: numpy's SIMD log differs
@@ -102,13 +98,6 @@ class Regularizer:
     declared: CurvatureConstants | None = None
 
 
-def _as_finite_vector(x, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D vector")
-    return _as_finite_rows(arr, name)
-
-
 def _as_finite_rows(x, name: str = "x") -> np.ndarray:
     """A (..., n) array of score vectors, one per row along the last axis."""
     arr = np.asarray(x, dtype=float)
@@ -122,13 +111,6 @@ def _as_finite_rows(x, name: str = "x") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Negative entropy / log-sum-exp
 # ---------------------------------------------------------------------------
-
-def entropy_conjugate(x) -> float:
-    """log-sum-exp of ``x``, computed with max-shift stabilization."""
-    arr = _as_finite_vector(x)
-    shift = float(np.max(arr))
-    return shift + math.log(math.fsum(np.exp(arr - shift)))
-
 
 def entropy_conjugate_grad(x) -> np.ndarray:
     """Softmax of each row of ``x``; entries are positive and sum to 1."""
@@ -168,12 +150,6 @@ def _project_to_simplex(x: np.ndarray) -> np.ndarray:
     return np.maximum(x - tau, 0.0)
 
 
-def l2_conjugate(x) -> float:
-    arr = _as_finite_vector(x)
-    pi = _project_to_simplex(arr)
-    return float(np.dot(arr, pi) - 0.5 * np.dot(pi, pi))
-
-
 def l2_conjugate_grad(x) -> np.ndarray:
     return _project_to_simplex(_as_finite_rows(x))
 
@@ -189,41 +165,6 @@ def l2_conjugate_partial2(x, i: int):
 def l2_conjugate_partial3(x, i: int):
     # The gradient is piecewise linear, so its derivative is piecewise constant.
     return np.zeros(_as_finite_rows(x).shape[:-1])[()]
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference reference
-# ---------------------------------------------------------------------------
-
-def finite_difference_partials(
-    conjugate_value: Callable[[np.ndarray], float],
-) -> tuple[Callable[[np.ndarray, int], float], Callable[[np.ndarray, int], float]]:
-    """Central-difference second and third coordinate partials of C, with step h = FD_STEP.
-
-    A reference for checking closed-form partials.  The third difference
-    divides by h^3, so its float noise is orders of magnitude above closed
-    forms; alpha estimates built on it are unreliable.
-    """
-    h = FD_STEP
-
-    def partial2(x, i: int) -> float:
-        arr = _as_finite_vector(x)
-        e = np.zeros_like(arr)
-        e[i] = h
-        return (conjugate_value(arr + e) - 2.0 * conjugate_value(arr) + conjugate_value(arr - e)) / h**2
-
-    def partial3(x, i: int) -> float:
-        arr = _as_finite_vector(x)
-        e = np.zeros_like(arr)
-        e[i] = h
-        return (
-            conjugate_value(arr + 2 * e)
-            - 2.0 * conjugate_value(arr + e)
-            + 2.0 * conjugate_value(arr - e)
-            - conjugate_value(arr - 2 * e)
-        ) / (2.0 * h**3)
-
-    return partial2, partial3
 
 
 NEG_ENTROPY = Regularizer(

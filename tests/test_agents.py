@@ -245,6 +245,15 @@ class TestBestResponseFull:
             assert res.certified
             assert np.max(np.abs(res.report - ctx.own_beliefs)) <= 4 * eta
 
+    def test_non_finite_utility_at_every_start_is_a_value_error(self):
+        # eta * totals overflows, so every candidate's softmax utility is NaN
+        with pytest.warns(UserWarning, match="approximate-truthfulness range"):
+            mech = MultWeights(eta=1e308)
+        ctx = StrategicContext(np.array([[0.3, 0.8]]), np.array([0.6, 0.4]), mech)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="every start's expected utility was non-finite"):
+            best_response_full(ctx, starts=2, seed=0)
+
     def test_hedger_best_response_is_extreme(self):
         # Reports 0.9 and 0.1 on one event squeeze out a middle report of
         # 0.5 entirely; the best response jumps to an extreme and wins with

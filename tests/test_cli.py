@@ -157,6 +157,23 @@ class TestDispatch:
         assert summary["passed"] is False
         assert summary["convexity_witness"] is not None
 
+    def test_condition_check_without_a_finite_ratio_writes_strict_json(self, tmp_path):
+        # at this radius every sampled softmax is a point mass, so no point has a finite alpha ratio
+        data = {
+            "command": "condition-check",
+            "params": {"regularizer": "negative_entropy", "samples": 50, "radius": 8.9e307, "dim": 3},
+            "seed": 1,
+        }
+        out = self.run_main(tmp_path, data, "cond-inf")
+
+        def refuse(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["empirical_alpha"] is None and summary["alpha_witness"] == []
+        header, row = (out / "results.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["empirical_alpha"] == ""
+
     def test_truthfulness_sweep_command(self, tmp_path):
         data = {
             "command": "truthfulness-sweep",
@@ -335,6 +352,30 @@ class TestExitCodes:
         assert main([data["command"], "--config", str(path), "--out", str(out)]) == 2
         violations = json.loads(capsys.readouterr().err)["violations"]
         assert violations == [violation]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, violations",
+        [
+            (with_params(dict(MINIMAL_RUN, mechanism={"type": "mw", "eta": 1e308}), epsilon=2.0),
+             ["mechanism.eta = 1e+308 is too large for m = 4: eta * m overflows",
+              "params.epsilon must be <= 1.0, got 2.0"]),
+            ({"command": "truthfulness-sweep", "mechanism": {"type": "ftrl", "eta": 1e308},
+              "params": {"n": 3, "m": 2, "contexts": 2}},
+             ["mechanism.eta = 1e+308 is too large for m = 2: eta * m overflows"]),
+            ({"command": "estimate-complexity", "mechanism": {"type": "mw", "eta": 1e303},
+              "setting": {"generator": "perfect_vs_terrible", "n": 3}, "params": {"epsilon": 0.3, "delta": 0.1}},
+             ["mechanism.eta = 1e+303 is too large for m = 1048576: eta * m overflows"]),
+            ({"command": "online-regret", "params": {"T": 10, "n": 3, "eta": 1e308}},
+             ["params.eta = 1e+308 is too large for T = 10: eta * T overflows"]),
+        ],
+        ids=["run", "sweep", "complexity-m-cap", "online"],
+    )
+    def test_learning_rates_whose_scaled_totals_overflow_are_config_errors(self, tmp_path, capsys, data, violations):
+        # a finite eta whose eta * m overflows made run exit 1 and the sweep fail an assert
+        out = tmp_path / "x"
+        assert main([data["command"], "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+        assert sorted(json.loads(capsys.readouterr().err)["violations"]) == sorted(violations)
         assert not out.exists()
 
 

@@ -1,11 +1,13 @@
 """Mechanism behavior: laws, invariants, replay, and cross-mechanism identities."""
 
+import functools
 import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from forecastcomp.mechanisms import (
@@ -24,7 +26,6 @@ from forecastcomp.mechanisms import (
     elf_winner_law,
     ftrl_select,
     laplace_from_uniform,
-    mc_winner_law,
     mw_select,
     noisy_max_law,
     report_noisy_max_select,
@@ -38,6 +39,7 @@ from forecastcomp.mechanisms import (
 from forecastcomp import mechanisms
 from forecastcomp.mechanisms import _noisy_max_draws, _tally_dp_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
+from reference_helpers import mc_winner_law
 
 rng_global = np.random.default_rng(2024)
 
@@ -564,6 +566,88 @@ def _per_forecaster_quadrature(totals, b: float, index: int, order: int = 24) ->
             x = q[index] + pts - q[j]
             prod *= np.where(x < 0.0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
     return float(np.sum(half[:, None] * weights[None, :] * density * prod))
+
+
+def _tail_panel_law(totals, b: float) -> np.ndarray:
+    """The noisy-max law by the quadrature the library used before its tails
+    were exact: Gauss-Legendre panels at most 4b wide between the sorted totals
+    and over a 40b tail on each side, one panel layout per row."""
+    q = np.asarray(totals, dtype=float)
+    rows = q.reshape(-1, q.shape[-1])
+    nodes, weights = np.polynomial.legendre.leggauss(mechanisms.GL_ORDER)
+    s = np.sort(rows, axis=1)
+    edges = np.column_stack([s[:, 0] - 40.0 * b, s, s[:, -1] + 40.0 * b])
+    width = np.diff(edges, axis=1)
+    pieces = np.maximum(1.0, np.ceil(width / (4.0 * b)))
+    ends = np.cumsum(pieces, axis=1)
+    # panel boundary p lies in gap g, the number of gaps ending at or before p
+    p = np.arange(ends[:, -1].max() + 1)[None, :]
+    gap = np.minimum(np.sum(p[..., None] >= ends[:, None, :], axis=2), width.shape[1] - 1)
+    pick = lambda a: np.take_along_axis(a, gap, axis=1)  # noqa: E731
+    x = np.where(p >= ends[:, -1:], edges[:, -1:], pick(edges) + pick(width) * (p - pick(ends - pieces)) / pick(pieces))
+    half = 0.5 * (x[:, 1:] - x[:, :-1])
+    z = ((0.5 * (x[:, 1:] + x[:, :-1]))[..., None] + half[..., None] * nodes).reshape(len(rows), -1) - rows.T[..., None]
+    tail = 0.5 * np.exp(-np.abs(z) / b)
+    cdf = np.where(z < 0.0, tail, 1.0 - tail)
+    others = np.ones_like(cdf)
+    for i in range(len(cdf)):
+        for j in range(len(cdf)):
+            if j != i:
+                others[i] *= cdf[j]
+    terms = (half[..., None] * weights).reshape(len(rows), -1) * tail / b * others
+    law = terms.sum(axis=-1).T.reshape(q.shape)
+    return law / law.sum(axis=-1, keepdims=True)
+
+
+def _noisy_max_integrand(q: np.ndarray, b: float, i: int, x: float) -> float:
+    """f(x - q_i) prod_{j != i} F(x - q_j) for Laplace(0, b) noise, one point at a time."""
+    cdf = lambda z: 0.5 * math.exp(z / b) if z < 0.0 else 1.0 - 0.5 * math.exp(-z / b)  # noqa: E731
+    return math.exp(-abs(x - q[i]) / b) / (2.0 * b) * math.prod(cdf(x - q[j]) for j in range(q.size) if j != i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    b=st.floats(4.0, 80.0),
+    spread=st.sampled_from([0.0, 1.0, 10.0, 100.0, 2000.0]) | st.floats(0.0, 2000.0),
+    ties=st.integers(0, 3),
+    data=st.data(),
+)
+def test_law_matches_the_tail_panel_oracle(n, b, spread, ties, data):
+    # the exact tails against the 40b tail panels they replaced, whose
+    # truncation error is below e^-40; tied totals give zero-width gaps
+    rows = data.draw(st.integers(1, 4), label="rows")
+    unit = data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows * n, max_size=rows * n), label="unit")
+    totals = spread * np.array(unit).reshape(rows, n)
+    totals[:, n - min(ties, n - 1):] = totals[:, :1]
+    law = noisy_max_law(totals, b)
+    np.testing.assert_allclose(law, _tail_panel_law(totals, b), rtol=0.0, atol=1e-13)
+    for row, row_law in zip(totals, law):
+        np.testing.assert_array_equal(noisy_max_law(row, b), row_law)
+
+
+@pytest.mark.parametrize("n, b, spread", [(1, 4.0, 0.0), (2, 4.0, 3.0), (3, 40.0, 2.5), (5, 10.0, 60.0), (8, 80.0, 300.0)])
+def test_noisy_max_tails_match_integrals_of_their_own_intervals(n, b, spread):
+    # node 0 is the closed-form mass left of the lowest total, the last ceil(n/2)
+    # nodes the mass right of the highest; each against adaptive quadrature over
+    # its interval, cut at 60b, where the integrand is below e^-60 of its peak
+    totals = np.random.default_rng(n).uniform(0.0, spread, (1, n))
+    terms = mechanisms._noisy_max_terms(totals, b)[:, 0]
+    lo, hi, right_nodes = totals.min(), totals.max(), (n + 1) // 2
+    for i in range(n):
+        f = functools.partial(_noisy_max_integrand, totals[0], b, i)
+        left = scipy.integrate.quad(f, lo - 60.0 * b, lo, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        right = scipy.integrate.quad(f, hi, hi + 60.0 * b, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        assert terms[i, 0] == pytest.approx(left, rel=1e-12, abs=1e-16)
+        assert terms[i, -right_nodes:].sum() == pytest.approx(right, rel=1e-12, abs=1e-16)
+
+
+def test_lost_mass_is_a_runtime_error(monkeypatch):
+    # halved quadrature weights lose a share of every row's mass
+    nodes = mechanisms._gl_nodes
+    monkeypatch.setattr(mechanisms, "_gl_nodes", lambda order: (nodes(order)[0], 0.5 * nodes(order)[1]))
+    with pytest.raises(RuntimeError, match="noisy-max quadrature lost mass"):
+        noisy_max_law(np.array([[0.0, 3.0, 5.0], [1.0, 1.0, 1.0]]), 4.0)
 
 
 class TestL2FtrlRuns:

@@ -15,15 +15,13 @@ from forecastcomp.regularizers import (
     PAIR_DISTANCES,
     ConditionReport,
     condition_check,
-    entropy_conjugate,
     entropy_conjugate_grad,
     entropy_conjugate_partial2,
     entropy_conjugate_partial3,
-    finite_difference_partials,
-    l2_conjugate,
     l2_conjugate_grad,
     l2_conjugate_partial2,
 )
+from reference_helpers import entropy_conjugate, finite_difference_partials, l2_conjugate
 
 
 class TestEntropyConjugate:
