@@ -9,8 +9,9 @@ their own beliefs and the mechanism's randomness.  This module provides:
 - the closed-form leave-one-out optimal report for regularized-leader
   mechanisms and the fixed-point optimal report for noisy-max selection,
 - a full best-response solver (cyclic coordinate ascent, multi-started,
-  with golden-section line search where the mechanism certifies unimodality
-  and otherwise a coordinate grid evaluated in one ``law`` call),
+  with golden-section line search on each coordinate's precomputed line
+  where the mechanism certifies unimodality, and otherwise a coordinate
+  grid evaluated in one ``law`` call),
 - the scalar golden-section search, and its lockstep form over G
   independent brackets with one stacked function call per step (the online
   harness solves a round's responders with it),
@@ -193,7 +194,7 @@ def _outcome_weights(beliefs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.prod(bits * b + (1.0 - bits) * (1.0 - b), axis=-1)
 
 
-def _exact_utility(ctx: StrategicContext) -> Callable[[np.ndarray], float | np.ndarray]:
+class _ExactUtility:
     """Expected win probability of agent 0 as a function of their report: a
     float for an (m,) report, a (G,) array for a (G, m) stack of candidates.
 
@@ -202,22 +203,29 @@ def _exact_utility(ctx: StrategicContext) -> Callable[[np.ndarray], float | np.n
     Each candidate's expectation is its own 1-D ``np.dot``: a matrix-vector
     product over the stack rounds differently in the last bits.
     """
-    if ctx.m > ENUM_BUDGET:
-        raise ValueError(
-            f"m={ctx.m} exceeds the exact enumeration budget {ENUM_BUDGET}: "
-            f"the exact solver enumerates all 2^m outcome vectors and needs m <= {ENUM_BUDGET}"
-        )
-    bits = _outcome_table(ctx.m)
-    weights = _outcome_weights(ctx.own_beliefs, bits)
-    win_probs = ctx.mechanism.utility_kernel(ctx.opponent_reports, bits)
 
-    def utility(report):
-        probs = win_probs(np.asarray(report, dtype=float))
+    def __init__(self, ctx: StrategicContext) -> None:
+        if ctx.m > ENUM_BUDGET:
+            raise ValueError(
+                f"m={ctx.m} exceeds the exact enumeration budget {ENUM_BUDGET}: "
+                f"the exact solver enumerates all 2^m outcome vectors and needs m <= {ENUM_BUDGET}"
+            )
+        bits = _outcome_table(ctx.m)
+        self.weights = _outcome_weights(ctx.own_beliefs, bits)
+        self.kernel = ctx.mechanism.utility_kernel(ctx.opponent_reports, bits)
+
+    def __call__(self, report) -> float | np.ndarray:
+        probs = self.kernel(np.asarray(report, dtype=float))
         if probs.ndim == 1:
-            return float(np.dot(weights, probs))
-        return np.array([np.dot(weights, row) for row in probs])
+            return float(np.dot(self.weights, probs))
+        return np.array([np.dot(self.weights, row) for row in probs])
 
-    return utility
+    def line(self, report: np.ndarray, t: int) -> Callable[[float], float]:
+        """The utility of ``report`` with report[t] = v, as a function of v,
+        on the mechanism's line: its work that does not depend on v is done
+        here, once.  It agrees with the utility of the full report up to
+        rounding, and leaves ``report`` unchanged."""
+        return self.kernel.line(report, t, self.weights)
 
 
 def expected_win_prob(
@@ -244,7 +252,7 @@ def expected_win_prob(
     if r.size > 0:
         as_probabilities(r, "candidate")
     if ctx.m <= ENUM_BUDGET:
-        return _exact_utility(ctx)(r)
+        return _ExactUtility(ctx)(r)
     if mc_trials is None:
         raise ValueError(
             f"m={ctx.m} exceeds the enumeration budget {ENUM_BUDGET} and no "
@@ -446,17 +454,23 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
 
     Cyclic coordinate ascent; each coordinate is solved by golden-section
     search when the mechanism guarantees per-coordinate unimodality of the
-    expected utility (regularized leaders, noisy max).  Mechanisms without
-    that guarantee (Simple Max, event lotteries) fall back to a dense
-    coordinate grid of ``GRID_POINTS`` values, all evaluated by one call of
-    the mechanism's ``law`` on the (GRID_POINTS, m) stack of candidate
-    reports, and the result is flagged non-certified.
+    expected utility (regularized leaders, noisy max).  The search runs on
+    the coordinate's line, built once per visit: along coordinate t the own
+    total under outcome row y is Q_rest(y) + (1 - v^2) + y_t (2v - 1), so
+    the opponents and the other coordinates are scored before the search
+    and each step scores only v (negative-entropy FTRL: one sigmoid over the
+    outcome rows).  The point found is then scored as a full report, once
+    per line search, so the result's utility is the exact utility of its
+    report.  Mechanisms without that guarantee (Simple Max, event lotteries)
+    fall back to a dense coordinate grid of ``GRID_POINTS`` values, all
+    evaluated by one call of the mechanism's ``law`` on the (GRID_POINTS, m)
+    stack of candidate reports, and the result is flagged non-certified.
 
     The solver multi-starts (beliefs plus random starts) and keeps the best.
     The utility is exact, over all 2^m outcome vectors, so m must be at most
     ``ENUM_BUDGET``.
     """
-    utility = _exact_utility(ctx)
+    utility = _ExactUtility(ctx)
     m = ctx.m
     certified = ctx.mechanism.unimodal
     rng = np.random.default_rng(seed)
@@ -473,25 +487,21 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
         for _ in range(MAX_CYCLES):
             moved = 0.0
             for t in range(m):
-                def f(v: float, t: int = t) -> float:
-                    r[t] = v
-                    return utility(r)
-
                 old = r[t]
                 if certified:
-                    x, fx = golden_section_max(f, 0.0, 1.0, xtol=COORD_TOL)
+                    r[t], _ = golden_section_max(utility.line(r, t), 0.0, 1.0, xtol=COORD_TOL)
+                    fx = utility(r)
                 else:
                     candidates = np.repeat(r[None], GRID_POINTS, axis=0)
                     candidates[:, t] = grid
                     vals = utility(candidates)
                     k = int(np.argmax(vals))
-                    x, fx = float(grid[k]), float(vals[k])
+                    r[t], fx = float(grid[k]), float(vals[k])
                 # Only a strict gain moves the coordinate: on a flat utility the
                 # line search's answer drifts between cycles and never settles.
                 if fx > u:
-                    r[t] = x
                     u = fx
-                    moved = max(moved, abs(x - old))
+                    moved = max(moved, abs(r[t] - old))
                 else:
                     r[t] = old
             if moved <= COORD_TOL:
@@ -535,7 +545,7 @@ def dominance_clamp_check(ctx: StrategicContext, r_hat, gamma: float) -> ClampCh
         raise ValueError(f"r_hat shape {r.shape} does not match m={ctx.m}")
     p = ctx.own_beliefs
     clamped = np.clip(r, p - gamma, p + gamma)
-    utility = _exact_utility(ctx)
+    utility = _ExactUtility(ctx)
     u_orig = utility(r)
     if not np.any(np.abs(r - p) > gamma):
         return ClampCheck(clamped=None, utility_original=u_orig, utility_clamped=u_orig)

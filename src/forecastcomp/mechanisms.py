@@ -16,7 +16,8 @@ Every mechanism is one frozen dataclass with the same interface:
   the two broadcast, as numpy broadcasts, and the result is (batch..., n).
   (n, m) reports against (B, m) outcomes give (B, n); a (G, 1, n, m) stack
   against (B, m) outcomes gives (G, B, n).  Each row is bit for bit the law
-  of its report matrix and outcome vector alone;
+  of its report matrix and outcome vector alone, whatever chunks of the
+  batch the family's working size per row, ``law_elements(n, m)``, sets;
 - ``draw(reports, outcomes, seeds)``: one sampled :class:`WinnerDraw` per
   row of a (B, m) outcome stack, for one (n, m) report matrix (every
   sampling entry point refuses a stack of them), trial k drawing only from
@@ -28,8 +29,13 @@ Every mechanism is one frozen dataclass with the same interface:
   one trial adds to a stack, by which such callers size their stacks;
 - ``utility_kernel(opponent_reports, bits)``: row 0's report to P(row 0
   wins) under each outcome row of ``bits``, column 0 of ``law``: (B,) for an
-  (m,) report, (G, B) for a (G, m) stack of candidates in one ``law`` call
-  (negative-entropy FTRL overrides it with a faster sigmoid closed form);
+  (m,) report, (G, B) for a (G, m) stack of candidates.  Simple Max and the
+  lotteries make one ``law`` call on the stacked reports.  FTRL and noisy
+  max score the opponents once per kernel (negative-entropy FTRL keeps
+  their log-sum-exp and takes a sigmoid) and add ``line(own, t, weights)``:
+  along coordinate t the own total under outcome row y is
+  Q_rest(y) + (1 - v^2) + y_t (2v - 1), so Q_rest is scored once per line
+  and each point v costs one ``totals_law`` call, or one sigmoid;
 - ``unimodal``: whether the expected win probability is unimodal in each
   coordinate of one's own report (the best-response solver's certificate);
 - ``truthfulness_band()``: the approximate-truthfulness radius, or None, and
@@ -104,9 +110,9 @@ __all__ = [
 DISTRIBUTION_TOL = 1e-10
 DEFAULT_ENUMERATION_BUDGET = 2**20
 GL_ORDER = 24  # Gauss-Legendre nodes per noisy-max panel between two sorted totals
-# rows of the broadcast batch per evaluation; per forecaster, a noisy-max row holds GL_ORDER nodes per
-# panel (at least one per gap between its totals, one per 4b of their spread) and 1 + ceil(n/2) tail nodes
-_LAW_CHUNK = 256
+# working-array elements per ``_law`` call: ``law`` runs _LAW_ELEMENTS // law_elements(n, m) rows of
+# the broadcast batch at a time
+_LAW_ELEMENTS = 2**16
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -202,6 +208,23 @@ def _totals_for_outcomes(reports: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return base + bits @ (2.0 * reports - 1.0).T
 
 
+def _own_totals(own: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """(B,) totals of an (m,) own report under each outcome row of ``bits``, or
+    (G, B) for a (G, m) stack: one product per report, as bits @ V.T over a
+    stack rounds differently from bits @ v."""
+    if own.ndim == 1:
+        return _totals_for_outcomes(own, bits)
+    return np.array([_totals_for_outcomes(v, bits) for v in own])
+
+
+def _line_rest(own: np.ndarray, bits: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q_rest and y_t of the line through an (m,) own report along coordinate t:
+    under outcome row y of ``bits``, the total at own[t] = v is
+    Q_rest(y) + (1 - v^2) + y_t (2v - 1), Q_rest the sum over the other coordinates."""
+    rest = np.arange(own.size) != t
+    return _totals_for_outcomes(own[rest], bits[:, rest]), bits[:, t]
+
+
 def _batch_rows(a: np.ndarray, index: tuple[np.ndarray, ...], core: int) -> np.ndarray:
     """The rows at the unravelled ``index`` of ``a``'s broadcast over a batch
     of ``len(index)`` axes, its last ``core`` axes kept, copying only those rows."""
@@ -253,15 +276,15 @@ def _outcome_stack(outcomes, seeds: Sequence[int], m: int) -> np.ndarray:
 
 
 def _sample_tallies(
-    tables: tuple[np.ndarray, np.ndarray], outcomes: np.ndarray, rngs: Sequence[np.random.Generator],
+    tables: tuple[np.ndarray, np.ndarray], y: np.ndarray, rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """(B, n) point tallies of (B, m) outcomes over lottery ``tables``.  Event
-    t of row k draws u, the k-th generator's t-th uniform times the total of
-    its cumulative point row c, and its point goes to forecaster
+    """(B, n) point tallies of B trials over lottery ``tables``, event t of
+    trial k scored by table y[k, t] of the (K, m, n) stack.  Event t of trial
+    k draws u, the k-th generator's t-th uniform times the total of its
+    cumulative point row c, and its point goes to forecaster
     min(count(c <= u), n - 1): a binary search, as c is sorted."""
     cum, totals = tables
     _, m, n = cum.shape
-    y = outcomes.astype(np.intp)
     t = np.arange(m)
     u = np.array([rng.random(m) for rng in rngs]) * totals[y, t]
     rows, last = cum.ravel(), (y * m + t) * n - 1
@@ -279,6 +302,27 @@ def _sample_tallies(
 # The mechanism interface
 # ---------------------------------------------------------------------------
 
+class _UtilityKernel:
+    """P(row 0 wins) under each outcome row of a (B, m) table, with fixed
+    opponents below row 0.  Called on an (m,) own report it gives (B,) win
+    probabilities, on a (G, m) stack of them (G, B).  ``line(own, t,
+    weights)``, for a mechanism that certifies unimodality, maps v to the
+    (B,) ``weights``' sum of the win probabilities of ``own`` with
+    own[t] = v, having done once the work that does not depend on v; it is
+    None for the others.  A plain class: a dataclass costs half a
+    millisecond more at every import."""
+
+    def __init__(
+        self,
+        win_probs: Callable[[np.ndarray], np.ndarray],
+        line: Callable[[np.ndarray, int, np.ndarray], Callable[[float], float]] | None = None,
+    ) -> None:
+        self.win_probs, self.line = win_probs, line
+
+    def __call__(self, own: np.ndarray) -> np.ndarray:
+        return self.win_probs(own)
+
+
 class _Mechanism:
     """What every mechanism provides; see the module docstring."""
 
@@ -286,19 +330,24 @@ class _Mechanism:
 
     def law(self, reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
         """The (..., n) law of (..., n, m) reports against (..., m) outcomes,
-        batch axes broadcast, by the family's ``_law`` on at most
-        ``_LAW_CHUNK`` rows of the broadcast batch at a time."""
+        batch axes broadcast, by the family's ``_law`` on chunks of the
+        broadcast batch of at most ``_LAW_ELEMENTS`` working elements."""
         r = _validate_stack(reports)
         y = np.asarray(outcomes, dtype=float)
         batch = np.broadcast_shapes(r.shape[:-2], y.shape[:-1])
         rows = math.prod(batch)
-        if rows <= _LAW_CHUNK:
+        chunk = max(1, _LAW_ELEMENTS // max(1, self.law_elements(*r.shape[-2:])))
+        if rows <= chunk:
             return self._law(r, y, budget)
         chunks = []
-        for k in range(0, rows, _LAW_CHUNK):
-            index = np.unravel_index(np.arange(k, min(k + _LAW_CHUNK, rows)), batch)
+        for k in range(0, rows, chunk):
+            index = np.unravel_index(np.arange(k, min(k + chunk, rows)), batch)
             chunks.append(self._law(_batch_rows(r, index, 2), _batch_rows(y, index, 1), budget))
         return np.concatenate(chunks).reshape(batch + r.shape[-2:-1])
+
+    def law_elements(self, n: int, m: int) -> int:
+        """Working-array elements one row of the batch adds to a ``_law`` call: its (n, m) scores."""
+        return n * m
 
     def draw(self, reports, outcomes, seeds: Sequence[int]) -> list[WinnerDraw]:
         """One sampled winner per row of a (B, m) outcome stack.  Trial k's
@@ -319,7 +368,7 @@ class _Mechanism:
         """Working-array elements one trial adds to a ``draw`` call: its (n, m) scores."""
         return n * m
 
-    def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> _UtilityKernel:
         """Own report to P(row 0 wins) under each row of (B, m) ``bits``, the
         opponents' (n - 1, m) reports below it: (B,) for an (m,) report and
         (G, B) for a (G, m) stack of candidate reports, one ``law`` call each."""
@@ -329,7 +378,7 @@ class _Mechanism:
             others = np.broadcast_to(opponent_reports, own.shape[:-2] + opponent_reports.shape)
             return self.law(np.concatenate([own, others], axis=-2)[..., None, :, :], bits)[..., 0]
 
-        return win_probs
+        return _UtilityKernel(win_probs)
 
     def truthfulness_band(self) -> tuple[float | None, dict]:
         return None, {}
@@ -344,6 +393,29 @@ class _TotalsMechanism(_Mechanism):
     def totals_law(self, totals: np.ndarray) -> np.ndarray:
         """Map (..., n) score totals to (..., n) selection laws."""
         raise NotImplementedError
+
+    def utility_kernel(self, opponent_reports, bits):
+        """``totals_law`` of the own totals beside the opponents', which are
+        scored once, under every outcome row.  A line writes its own totals,
+        Q_rest + (1 - v^2) + y_t (2v - 1), into a column it keeps."""
+        others = _totals_for_outcomes(opponent_reports, bits)
+
+        def win_probs(own: np.ndarray) -> np.ndarray:
+            q = _own_totals(own, bits)
+            totals = np.concatenate([q[..., None], np.broadcast_to(others, q.shape + others.shape[-1:])], axis=-1)
+            return self.totals_law(totals)[..., 0]
+
+        def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
+            rest, y = _line_rest(own, bits, t)
+            totals = np.concatenate([rest[:, None], others], axis=1)
+
+            def at(v: float) -> float:
+                totals[:, 0] = rest + (1.0 - v * v) + y * (2.0 * v - 1.0)
+                return float(np.dot(weights, self.totals_law(totals)[:, 0]))
+
+            return at
+
+        return _UtilityKernel(win_probs, line)
 
     def sampler(self, reports):
         r = _validate_reports(reports)
@@ -372,31 +444,47 @@ class _PointLottery(_Mechanism):
     def _law(self, reports, outcomes, budget):
         return _tally_dp_law(self._point_probs(reports, outcomes), budget)
 
+    def law_elements(self, n, m):
+        """A row's (m, n) point table and the tally DP's states."""
+        return n * m + math.comb(m + n - 1, n - 1)
+
     def trial_elements(self, n, m):
         """A trial's m uniforms and search positions and its n tallies."""
         return m + n
 
     def sampler(self, reports):
         """One uniform draw per event plus one more on a tie.  Each returned
-        distribution is the tie-break law over the realized point argmax."""
-        tables = self._point_tables(reports)
-        m = tables[1].shape[1]
+        distribution is the tie-break law over the realized point argmax.
+        The tables for outcome 0 and 1 are built once and serve every trial."""
+        r = _validate_reports(reports)
+        m = r.shape[1]
+        tables = self._point_tables(r, np.repeat([[0.0], [1.0]], m, axis=1))
 
         def draw(outcomes, seeds):
             y = _outcome_stack(outcomes, seeds, m)
             rngs = [np.random.default_rng(seed) for seed in seeds]
-            return _argmax_draws(_sample_tallies(tables, y, rngs), seeds, m, rngs)
+            return _argmax_draws(_sample_tallies(tables, y.astype(np.intp), rngs), seeds, m, rngs)
 
         return draw
 
-    def _point_tables(self, reports) -> tuple[np.ndarray, np.ndarray]:
-        """The cumulative point tables for every event under outcome 0 and 1,
-        each row sorted, (2, m, n), and their row totals, (2, m).  A table row
-        depends only on its own event and outcome, so these hold every row a
-        trial uses; one ``point_probs`` call over the two outcome rows makes
-        each row as a call on a trial's outcomes would."""
+    def sample(self, reports, outcomes, seed):
+        """The one-row ``draw``, from the point table of the realized outcomes only."""
+        tallies, rng = self._trial_tallies(reports, outcomes, seed)
+        return _argmax_draws(tallies[None], [seed], np.shape(reports)[1], [rng])[0]
+
+    def _trial_tallies(self, reports, outcomes, seed: int) -> tuple[np.ndarray, np.random.Generator]:
+        """(n,) point tallies of one trial on (m,) outcomes, and its generator."""
         r = _validate_reports(reports)
-        cum = np.ascontiguousarray(self._point_probs(r, np.repeat([[0.0], [1.0]], r.shape[1], axis=1)))
+        y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], r.shape[1])
+        rng = np.random.default_rng(seed)
+        return _sample_tallies(self._point_tables(r, y), np.zeros(y.shape, np.intp), [rng])[0], rng
+
+    def _point_tables(self, r: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cumulative point tables of validated (n, m) reports for each
+        row of (K, m) outcomes, each row sorted, (K, m, n), and their row
+        totals, (K, m).  A table row depends only on its own event and
+        outcome, so a row is the same whichever outcome rows are built."""
+        cum = np.ascontiguousarray(self._point_probs(r, outcomes))
         np.cumsum(cum, axis=-1, out=cum)
         totals = cum[..., -1].copy()
         # a row is already sorted unless rounding leaves a point probability just below zero
@@ -414,6 +502,9 @@ class SimpleMax(_TotalsMechanism):
 
     def totals_law(self, totals):
         return _argmax_tie_law(totals)
+
+    # the law of the stacked reports: totals by another formula than the law's could split an exact tie
+    utility_kernel = _Mechanism.utility_kernel
 
     def _draw(self, totals, seeds):
         """Ties are broken uniformly at random; each returned distribution is
@@ -561,9 +652,7 @@ def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
 
 def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
     """Sample the per-forecaster point tallies of one ELF run."""
-    tables = Elf()._point_tables(reports)
-    y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], tables[1].shape[1])
-    return _sample_tallies(tables, y, [np.random.default_rng(seed)])[0]
+    return Elf()._trial_tallies(reports, outcomes, seed)[0]
 
 
 def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
@@ -623,14 +712,20 @@ class Ftrl(_TotalsMechanism):
         log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
 
         def win_probs(own: np.ndarray) -> np.ndarray:
-            if own.ndim == 1:
-                q = _totals_for_outcomes(own, bits)
-            else:
-                # one product per own report: bits @ V.T over a (G, m) stack rounds differently from bits @ v
-                q = np.array([_totals_for_outcomes(v, bits) for v in own])
-            return 1.0 / (1.0 + np.exp(log_a - eta * q))
+            return 1.0 / (1.0 + np.exp(log_a - eta * _own_totals(own, bits)))
 
-        return win_probs
+        def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
+            # one sigmoid per point: L = log_a - eta Q_rest, less eta times the coordinate's own score
+            rest, y = _line_rest(own, bits, t)
+            lead, slope = log_a - eta * rest, eta * y
+
+            def at(v: float) -> float:
+                x = lead - (eta * (1.0 - v * v) + slope * (2.0 * v - 1.0))
+                return float(np.dot(weights, 1.0 / (1.0 + np.exp(x))))
+
+            return at
+
+        return _UtilityKernel(win_probs, line)
 
     def truthfulness_band(self):
         declared = self.regularizer.declared
@@ -701,6 +796,11 @@ class ReportNoisyMax(_TotalsMechanism):
 
     def totals_law(self, totals):
         return noisy_max_law(totals, self.b)
+
+    def law_elements(self, n, m):
+        """A row's (n, m) scores and, per forecaster, its quadrature nodes: one
+        panel per gap between the totals (more when the spread exceeds 4b) and the tails."""
+        return n * (m + GL_ORDER * max(1, n - 1) + 1 + (n + 1) // 2)
 
     def _draw(self, totals, seeds):
         return _noisy_max_draws(totals, self.b, seeds)

@@ -26,8 +26,9 @@ from forecastcomp.agents import (
     strategy_report_row,
     truthfulness_gap_sweep,
 )
-from forecastcomp.mechanisms import Elf, MultWeights, PointPerRound, ReportNoisyMax, SimpleMax
-from forecastcomp.regularizers import entropy_conjugate_partial2
+from forecastcomp import mechanisms
+from forecastcomp.mechanisms import Elf, Ftrl, MultWeights, PointPerRound, ReportNoisyMax, SimpleMax
+from forecastcomp.regularizers import L2, entropy_conjugate_partial2
 
 
 class TestExpectedWinProb:
@@ -322,7 +323,7 @@ def _loop_best_response_full(ctx: StrategicContext, starts: int, seed: int) -> t
     """The grid branch of ``best_response_full`` with one utility call per
     grid candidate, as it was before a coordinate's grid became one stacked
     ``law`` call; also returns its number of line searches."""
-    utility = agents._exact_utility(ctx)
+    utility = agents._ExactUtility(ctx)
     rng = np.random.default_rng(seed)
     start_points = [ctx.own_beliefs.copy()] + [rng.random(ctx.m) for _ in range(max(0, starts - 1))]
     grid = np.linspace(0.0, 1.0, agents.GRID_POINTS)
@@ -394,6 +395,70 @@ class TestGridBestResponse:
                 best_response_full(ctx)
         with pytest.raises(ValueError, match=rf"m={m} exceeds the exact enumeration budget 20"):
             dominance_clamp_check(ctx, np.full(m, 0.5), 0.1)
+
+
+CERTIFIED_MECHANISMS = [MultWeights(eta=0.05), Ftrl(regularizer=L2, eta=0.2), ReportNoisyMax(b=5.0)]
+CERTIFIED_IDS = ["mw", "ftrl_l2", "noisy_max"]
+
+
+@pytest.mark.parametrize("mechanism", CERTIFIED_MECHANISMS, ids=CERTIFIED_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_line_equals_the_utility_of_the_full_report(mechanism, data):
+    n = data.draw(st.integers(2, 4), label="n")
+    m = data.draw(st.integers(1, 5), label="m")
+    prob = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+    def vector(size: int, label: str) -> np.ndarray:
+        return np.array(data.draw(st.lists(prob, min_size=size, max_size=size), label=label))
+
+    ctx = StrategicContext(vector((n - 1) * m, "opponents").reshape(n - 1, m), vector(m, "beliefs"), mechanism)
+    r = vector(m, "report")
+    t = data.draw(st.integers(0, m - 1), label="t")
+    kept = r.copy()
+    line = agents._ExactUtility(ctx).line(r, t)
+    for v in (0.0, 1.0, data.draw(st.floats(0.0, 1.0), label="v")):
+        moved = kept.copy()
+        moved[t] = v
+        assert abs(line(v) - expected_win_prob(ctx, moved)) <= 1e-14
+        np.testing.assert_array_equal(r, kept)
+
+
+class TestCoordinateLine:
+    @pytest.mark.parametrize("mechanism", CERTIFIED_MECHANISMS + GRID_MECHANISMS,
+                             ids=CERTIFIED_IDS + ["elf", "point_per_round", "simple_max"])
+    def test_expected_utility_is_the_exact_utility_of_the_report(self, mechanism):
+        rng = np.random.default_rng(14)
+        for k in range(4):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            ctx = StrategicContext(rng.random((n - 1, m)), rng.random(m), mechanism)
+            res = best_response_full(ctx, starts=2, seed=k)
+            assert res.expected_utility == expected_win_prob(ctx, res.report)
+
+    @pytest.mark.parametrize("mechanism", CERTIFIED_MECHANISMS, ids=CERTIFIED_IDS)
+    def test_full_report_scored_once_per_line_search(self, mechanism, monkeypatch):
+        # each start scores its first report, then each line search scores the
+        # point it found; the search's own steps evaluate only the line
+        searches, steps, full = [], [], []
+
+        def counting_search(f, *args, **kwargs):
+            searches.append(1)
+            return golden_section_max(lambda v: steps.append(1) or f(v), *args, **kwargs)
+
+        kernel_of = type(mechanism).utility_kernel
+
+        def counting_kernel(self, opponent_reports, bits):
+            kernel = kernel_of(self, opponent_reports, bits)
+            return mechanisms._UtilityKernel(lambda own: full.append(1) or kernel(own), kernel.line)
+
+        monkeypatch.setattr(agents, "golden_section_max", counting_search)
+        monkeypatch.setattr(type(mechanism), "utility_kernel", counting_kernel)
+        rng = np.random.default_rng(15)
+        ctx = StrategicContext(rng.random((2, 3)), rng.random(3), mechanism)
+        best_response_full(ctx, starts=2, seed=0)
+        assert len(searches) >= 3
+        assert len(full) == 2 + len(searches)
+        assert len(steps) >= 30 * len(searches)
 
 
 class TestDominanceClamp:

@@ -41,3 +41,23 @@ def test_traced_regularizer_returns_the_original_values(reg):
     for i in range(x.shape[1]):
         assert np.array_equal(traced.conjugate_partial2(x, i), reg.conjugate_partial2(x, i))
     assert [name for *_, name, _, _ in tracer.spans].count("regularizers.conjugate_partial2") == x.shape[1]
+
+
+def test_traced_solve_records_its_line_searches():
+    # the per-layer table counts the line searches of a best response as
+    # agents.golden_section_max spans inside agents.best_response_full
+    import forecastcomp
+    from forecastcomp import agents
+    from forecastcomp.mechanisms import MultWeights
+
+    tracer = _tracing().Tracer()
+    ctx = agents.StrategicContext(np.array([[0.2, 0.7], [0.9, 0.4]]), np.array([0.6, 0.3]), MultWeights(eta=0.05))
+    tracer.install(forecastcomp)
+    try:
+        agents.best_response_full(ctx, starts=2, seed=0)
+    finally:
+        tracer.uninstall()
+    names = {sid: name for sid, _, _, name, _, _ in tracer.spans}
+    parents = [parent for _, parent, _, name, _, _ in tracer.spans if name == "agents.golden_section_max"]
+    assert len(parents) >= 2 * ctx.m
+    assert {names[parent] for parent in parents} == {"agents.best_response_full"}

@@ -239,6 +239,32 @@ class TestLotteryValidation:
                 call(np.full(2, 0.5), y)
 
 
+class TestOneTrialLotterySample:
+    LOTTERIES = [Elf(), PointPerRound(g=lambda r, y: (1.0 - (y - r) ** 2) / 6.0, range_length=1.0 / 6.0)]
+
+    @pytest.mark.parametrize("mech", LOTTERIES, ids=["elf", "point-per-round"])
+    def test_sample_equals_its_draw_row(self, mech):
+        # reports on a coarse grid tie tallies often, so the tie-break draw is compared too
+        rng = np.random.default_rng(52)
+        for _ in range(40):
+            n, m, rows = int(rng.integers(2, 7)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            reports = rng.random((n, m))
+            reports[rng.random((n, m)) < 0.5] = 0.5
+            outcomes = (rng.random((rows, m)) < rng.random()).astype(float)
+            seeds = [int(seed) for seed in rng.integers(0, 2**32, rows)]
+            for y, seed, draw in zip(outcomes, seeds, mech.draw(reports, outcomes, seeds)):
+                assert mech.sample(reports, y, seed).to_record() == draw.to_record()
+
+    @pytest.mark.parametrize("mech", LOTTERIES, ids=["elf", "point-per-round"])
+    def test_sample_builds_only_the_realized_table(self, mech):
+        rng = np.random.default_rng(53)
+        reports, y = rng.random((5, 7)), (rng.random(7) < 0.5).astype(float)
+        point_probs = type(mech)._point_probs
+        with mock.patch.object(type(mech), "_point_probs", autospec=True, side_effect=point_probs) as built:
+            mech.sample(reports, y, seed=3)
+        assert [np.shape(call.args[2]) for call in built.call_args_list] == [(1, 7)]
+
+
 class TestFtrlAndMw:
     def test_equal_scores_uniform(self):
         reports = np.full((5, 3), 0.4)
@@ -788,14 +814,15 @@ STACK_CONFIGS = [
 STACK_IDS = ["simple_max", "elf", "point_per_round", "ftrl_l2", "mw", "noisy_max"]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, mechanisms._LAW_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, None])
 @pytest.mark.parametrize("config", STACK_CONFIGS, ids=STACK_IDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_law_over_a_report_stack_equals_each_matrix(config, chunk, data):
     # a (G, 1, n, m) grid of report matrices against every outcome vector, as
     # the best-response line search asks, and a (B, n, m) stack paired row by
-    # row with (B, m) outcomes; chunks of 1 and 7 rows split the broadcast batch
+    # row with (B, m) outcomes; chunks of 1 and 7 rows split the broadcast
+    # batch, None keeps the family's own chunk
     n = data.draw(st.integers(2, 5), label="n")
     m = data.draw(st.integers(1, 5), label="m")
     prob = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -810,7 +837,8 @@ def test_law_over_a_report_stack_equals_each_matrix(config, chunk, data):
     outcomes = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows * m, max_size=rows * m)))
     outcomes = outcomes.reshape(rows, m)
     bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
-    with mock.patch.object(mechanisms, "_LAW_CHUNK", chunk):
+    elements = mechanisms._LAW_ELEMENTS if chunk is None else chunk * config.law_elements(n, m)
+    with mock.patch.object(mechanisms, "_LAW_ELEMENTS", elements):
         grid_law = config.law(grid[:, None], bits)
         paired_law = config.law(paired, outcomes)
     assert grid_law.shape == (len(grid), 2**m, n) and paired_law.shape == (rows, n)
@@ -818,6 +846,21 @@ def test_law_over_a_report_stack_equals_each_matrix(config, chunk, data):
         np.testing.assert_array_equal(law, config.law(reports, bits))
     for law, reports, y in zip(paired_law, paired, outcomes):
         np.testing.assert_array_equal(law, config.law(reports, y))
+
+
+def test_an_elf_grid_line_search_is_one_tally_dp(monkeypatch):
+    # 201 candidates against 8 outcome rows: 1,608 rows, one chunk of ELF's size
+    calls = []
+
+    def counting(point_probs, budget):
+        calls.append(point_probs.shape)
+        return _tally_dp_law(point_probs, budget)
+
+    monkeypatch.setattr(mechanisms, "_tally_dp_law", counting)
+    rng = np.random.default_rng(54)
+    bits = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
+    Elf().utility_kernel(rng.random((2, 3)), bits)(rng.random((201, 3)))
+    assert calls == [(201, 8, 3, 3)]
 
 
 @pytest.mark.parametrize("config", STACK_CONFIGS, ids=STACK_IDS)
