@@ -220,13 +220,6 @@ class _ExactUtility:
             return float(np.dot(self.weights, probs))
         return np.array([np.dot(self.weights, row) for row in probs])
 
-    def line(self, report: np.ndarray, t: int) -> Callable[[float], float]:
-        """The utility of ``report`` with report[t] = v, as a function of v,
-        on the mechanism's line: its work that does not depend on v is done
-        here, once.  It agrees with the utility of the full report up to
-        rounding, and leaves ``report`` unchanged."""
-        return self.kernel.line(report, t, self.weights)
-
 
 def expected_win_prob(
     ctx: StrategicContext,
@@ -454,12 +447,13 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
 
     Cyclic coordinate ascent; each coordinate is solved by golden-section
     search when the mechanism guarantees per-coordinate unimodality of the
-    expected utility (regularized leaders, noisy max).  The search runs on
-    the coordinate's line, built once per visit: along coordinate t the own
-    total under outcome row y is Q_rest(y) + (1 - v^2) + y_t (2v - 1), so
-    the opponents and the other coordinates are scored before the search
-    and each step scores only v (negative-entropy FTRL: one sigmoid over the
-    outcome rows).  The point found is then scored as a full report, once
+    expected utility (regularized leaders, noisy max), which its utility
+    kernel states by having a line.  The search runs on the coordinate's
+    line, built once per visit: along coordinate t the own total under
+    outcome row y is Q_rest(y) + (1 - v^2) + y_t (2v - 1), so the opponents
+    and the other coordinates are scored before the search and each step
+    scores only v (negative-entropy FTRL: one sigmoid over the outcome
+    rows).  The point found is then scored as a full report, once
     per line search, so the result's utility is the exact utility of its
     report.  Mechanisms without that guarantee (Simple Max, event lotteries)
     fall back to a dense coordinate grid of ``GRID_POINTS`` values, all
@@ -472,7 +466,8 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
     """
     utility = _ExactUtility(ctx)
     m = ctx.m
-    certified = ctx.mechanism.unimodal
+    line = utility.kernel.line
+    certified = line is not None
     rng = np.random.default_rng(seed)
     start_points = [ctx.own_beliefs.copy()]
     for _ in range(max(0, starts - 1)):
@@ -489,7 +484,7 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
             for t in range(m):
                 old = r[t]
                 if certified:
-                    r[t], _ = golden_section_max(utility.line(r, t), 0.0, 1.0, xtol=COORD_TOL)
+                    r[t], _ = golden_section_max(line(r, t, utility.weights), 0.0, 1.0, xtol=COORD_TOL)
                     fx = utility(r)
                 else:
                     candidates = np.repeat(r[None], GRID_POINTS, axis=0)

@@ -35,9 +35,10 @@ Every mechanism is one frozen dataclass with the same interface:
   their log-sum-exp and takes a sigmoid) and add ``line(own, t, weights)``:
   along coordinate t the own total under outcome row y is
   Q_rest(y) + (1 - v^2) + y_t (2v - 1), so Q_rest is scored once per line
-  and each point v costs one ``totals_law`` call, or one sigmoid;
-- ``unimodal``: whether the expected win probability is unimodal in each
-  coordinate of one's own report (the best-response solver's certificate);
+  and each point v costs one ``totals_law`` call, or one sigmoid, on chunks
+  of rows sized as ``law``'s.  A kernel has a line exactly where the
+  expected win probability is unimodal in each coordinate of one's own
+  report: the best-response solver's certificate;
 - ``truthfulness_band()``: the approximate-truthfulness radius, or None, and
   notes on its provenance.
 
@@ -225,6 +226,14 @@ def _line_rest(own: np.ndarray, bits: np.ndarray, t: int) -> tuple[np.ndarray, n
     return _totals_for_outcomes(own[rest], bits[:, rest]), bits[:, t]
 
 
+def _row_chunks(rows: int, row_elements: int) -> list[slice]:
+    """Consecutive slices of a batch of ``rows`` rows, each of at most
+    ``_LAW_ELEMENTS // row_elements`` rows (one at least): the chunks of one
+    law evaluation, ``row_elements`` the working elements a row adds to it."""
+    step = max(1, _LAW_ELEMENTS // max(1, row_elements))
+    return [slice(k, min(k + step, rows)) for k in range(0, rows, step)]
+
+
 def _batch_rows(a: np.ndarray, index: tuple[np.ndarray, ...], core: int) -> np.ndarray:
     """The rows at the unravelled ``index`` of ``a``'s broadcast over a batch
     of ``len(index)`` axes, its last ``core`` axes kept, copying only those rows."""
@@ -276,15 +285,15 @@ def _outcome_stack(outcomes, seeds: Sequence[int], m: int) -> np.ndarray:
 
 
 def _sample_tallies(
-    tables: tuple[np.ndarray, np.ndarray], y: np.ndarray, rngs: Sequence[np.random.Generator],
+    tables: tuple[np.ndarray, np.ndarray], outcomes: np.ndarray, rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """(B, n) point tallies of B trials over lottery ``tables``, event t of
-    trial k scored by table y[k, t] of the (K, m, n) stack.  Event t of trial
-    k draws u, the k-th generator's t-th uniform times the total of its
-    cumulative point row c, and its point goes to forecaster
+    """(B, n) point tallies of (B, m) outcomes over lottery ``tables``.  Event
+    t of row k draws u, the k-th generator's t-th uniform times the total of
+    its cumulative point row c, and its point goes to forecaster
     min(count(c <= u), n - 1): a binary search, as c is sorted."""
     cum, totals = tables
     _, m, n = cum.shape
+    y = outcomes.astype(np.intp)
     t = np.arange(m)
     u = np.array([rng.random(m) for rng in rngs]) * totals[y, t]
     rows, last = cum.ravel(), (y * m + t) * n - 1
@@ -306,11 +315,11 @@ class _UtilityKernel:
     """P(row 0 wins) under each outcome row of a (B, m) table, with fixed
     opponents below row 0.  Called on an (m,) own report it gives (B,) win
     probabilities, on a (G, m) stack of them (G, B).  ``line(own, t,
-    weights)``, for a mechanism that certifies unimodality, maps v to the
-    (B,) ``weights``' sum of the win probabilities of ``own`` with
-    own[t] = v, having done once the work that does not depend on v; it is
-    None for the others.  A plain class: a dataclass costs half a
-    millisecond more at every import."""
+    weights)`` maps v to the (B,) ``weights``' sum of the win probabilities
+    of ``own`` with own[t] = v, having done once the work that does not
+    depend on v.  Only a mechanism whose expected win probability is
+    unimodal in each coordinate gives a line; it is None for the others.
+    A plain class: a dataclass costs half a millisecond more at every import."""
 
     def __init__(
         self,
@@ -326,8 +335,6 @@ class _UtilityKernel:
 class _Mechanism:
     """What every mechanism provides; see the module docstring."""
 
-    unimodal: ClassVar[bool] = False
-
     def law(self, reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
         """The (..., n) law of (..., n, m) reports against (..., m) outcomes,
         batch axes broadcast, by the family's ``_law`` on chunks of the
@@ -336,14 +343,14 @@ class _Mechanism:
         y = np.asarray(outcomes, dtype=float)
         batch = np.broadcast_shapes(r.shape[:-2], y.shape[:-1])
         rows = math.prod(batch)
-        chunk = max(1, _LAW_ELEMENTS // max(1, self.law_elements(*r.shape[-2:])))
-        if rows <= chunk:
+        chunks = _row_chunks(rows, self.law_elements(*r.shape[-2:]))
+        if len(chunks) <= 1:
             return self._law(r, y, budget)
-        chunks = []
-        for k in range(0, rows, chunk):
-            index = np.unravel_index(np.arange(k, min(k + chunk, rows)), batch)
-            chunks.append(self._law(_batch_rows(r, index, 2), _batch_rows(y, index, 1), budget))
-        return np.concatenate(chunks).reshape(batch + r.shape[-2:-1])
+        laws = []
+        for chunk in chunks:
+            index = np.unravel_index(np.arange(chunk.start, chunk.stop), batch)
+            laws.append(self._law(_batch_rows(r, index, 2), _batch_rows(y, index, 1), budget))
+        return np.concatenate(laws).reshape(batch + r.shape[-2:-1])
 
     def law_elements(self, n: int, m: int) -> int:
         """Working-array elements one row of the batch adds to a ``_law`` call: its (n, m) scores."""
@@ -399,11 +406,12 @@ class _TotalsMechanism(_Mechanism):
         scored once, under every outcome row.  A line writes its own totals,
         Q_rest + (1 - v^2) + y_t (2v - 1), into a column it keeps."""
         others = _totals_for_outcomes(opponent_reports, bits)
+        m = bits.shape[1]
 
         def win_probs(own: np.ndarray) -> np.ndarray:
             q = _own_totals(own, bits)
             totals = np.concatenate([q[..., None], np.broadcast_to(others, q.shape + others.shape[-1:])], axis=-1)
-            return self.totals_law(totals)[..., 0]
+            return self._first_column(totals, m)
 
         def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
             rest, y = _line_rest(own, bits, t)
@@ -411,11 +419,22 @@ class _TotalsMechanism(_Mechanism):
 
             def at(v: float) -> float:
                 totals[:, 0] = rest + (1.0 - v * v) + y * (2.0 * v - 1.0)
-                return float(np.dot(weights, self.totals_law(totals)[:, 0]))
+                return float(np.dot(weights, self._first_column(totals, m)))
 
             return at
 
         return _UtilityKernel(win_probs, line)
+
+    def _first_column(self, totals: np.ndarray, m: int) -> np.ndarray:
+        """Column 0 of ``totals_law`` of (..., n) totals over m events, on
+        chunks of rows sized as ``law`` sizes them.  The column is a view of
+        the whole law however it was chunked, so a dot product over it sums
+        in the same order."""
+        flat = totals.reshape(-1, totals.shape[-1])
+        chunks = _row_chunks(len(flat), self.law_elements(totals.shape[-1], m))
+        if len(chunks) <= 1:
+            return self.totals_law(totals)[..., 0]
+        return np.concatenate([self.totals_law(flat[chunk]) for chunk in chunks]).reshape(totals.shape)[..., 0]
 
     def sampler(self, reports):
         r = _validate_reports(reports)
@@ -454,37 +473,25 @@ class _PointLottery(_Mechanism):
 
     def sampler(self, reports):
         """One uniform draw per event plus one more on a tie.  Each returned
-        distribution is the tie-break law over the realized point argmax.
-        The tables for outcome 0 and 1 are built once and serve every trial."""
-        r = _validate_reports(reports)
-        m = r.shape[1]
-        tables = self._point_tables(r, np.repeat([[0.0], [1.0]], m, axis=1))
+        distribution is the tie-break law over the realized point argmax."""
+        tables = self._point_tables(reports)
+        m = tables[1].shape[1]
 
         def draw(outcomes, seeds):
             y = _outcome_stack(outcomes, seeds, m)
             rngs = [np.random.default_rng(seed) for seed in seeds]
-            return _argmax_draws(_sample_tallies(tables, y.astype(np.intp), rngs), seeds, m, rngs)
+            return _argmax_draws(_sample_tallies(tables, y, rngs), seeds, m, rngs)
 
         return draw
 
-    def sample(self, reports, outcomes, seed):
-        """The one-row ``draw``, from the point table of the realized outcomes only."""
-        tallies, rng = self._trial_tallies(reports, outcomes, seed)
-        return _argmax_draws(tallies[None], [seed], np.shape(reports)[1], [rng])[0]
-
-    def _trial_tallies(self, reports, outcomes, seed: int) -> tuple[np.ndarray, np.random.Generator]:
-        """(n,) point tallies of one trial on (m,) outcomes, and its generator."""
+    def _point_tables(self, reports) -> tuple[np.ndarray, np.ndarray]:
+        """The cumulative point tables for every event under outcome 0 and 1,
+        each row sorted, (2, m, n), and their row totals, (2, m).  A table row
+        depends only on its own event and outcome, so these hold every row a
+        trial uses; one ``point_probs`` call over the two outcome rows makes
+        each row as a call on a trial's outcomes would."""
         r = _validate_reports(reports)
-        y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], r.shape[1])
-        rng = np.random.default_rng(seed)
-        return _sample_tallies(self._point_tables(r, y), np.zeros(y.shape, np.intp), [rng])[0], rng
-
-    def _point_tables(self, r: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cumulative point tables of validated (n, m) reports for each
-        row of (K, m) outcomes, each row sorted, (K, m, n), and their row
-        totals, (K, m).  A table row depends only on its own event and
-        outcome, so a row is the same whichever outcome rows are built."""
-        cum = np.ascontiguousarray(self._point_probs(r, outcomes))
+        cum = np.ascontiguousarray(self._point_probs(r, np.repeat([[0.0], [1.0]], r.shape[1], axis=1)))
         np.cumsum(cum, axis=-1, out=cum)
         totals = cum[..., -1].copy()
         # a row is already sorted unless rounding leaves a point probability just below zero
@@ -652,7 +659,9 @@ def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
 
 def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
     """Sample the per-forecaster point tallies of one ELF run."""
-    return Elf()._trial_tallies(reports, outcomes, seed)[0]
+    tables = Elf()._point_tables(reports)
+    y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], tables[1].shape[1])
+    return _sample_tallies(tables, y, [np.random.default_rng(seed)])[0]
 
 
 def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
@@ -688,7 +697,6 @@ class Ftrl(_TotalsMechanism):
     regularizer: Regularizer
     eta: float
 
-    unimodal: ClassVar[bool] = True
     # Published learning-rate ceilings recorded beside the truthfulness band.
     eta_ceilings: ClassVar[dict] = {}
 
@@ -787,8 +795,6 @@ class ReportNoisyMax(_TotalsMechanism):
     """Argmax of Laplace-perturbed totals; the scale b must be at least 4."""
 
     b: float
-
-    unimodal: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not (self.b >= 4.0 and math.isfinite(self.b)):

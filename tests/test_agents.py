@@ -416,7 +416,8 @@ def test_line_equals_the_utility_of_the_full_report(mechanism, data):
     r = vector(m, "report")
     t = data.draw(st.integers(0, m - 1), label="t")
     kept = r.copy()
-    line = agents._ExactUtility(ctx).line(r, t)
+    utility = agents._ExactUtility(ctx)
+    line = utility.kernel.line(r, t, utility.weights)
     for v in (0.0, 1.0, data.draw(st.floats(0.0, 1.0), label="v")):
         moved = kept.copy()
         moved[t] = v

@@ -255,15 +255,6 @@ class TestOneTrialLotterySample:
             for y, seed, draw in zip(outcomes, seeds, mech.draw(reports, outcomes, seeds)):
                 assert mech.sample(reports, y, seed).to_record() == draw.to_record()
 
-    @pytest.mark.parametrize("mech", LOTTERIES, ids=["elf", "point-per-round"])
-    def test_sample_builds_only_the_realized_table(self, mech):
-        rng = np.random.default_rng(53)
-        reports, y = rng.random((5, 7)), (rng.random(7) < 0.5).astype(float)
-        point_probs = type(mech)._point_probs
-        with mock.patch.object(type(mech), "_point_probs", autospec=True, side_effect=point_probs) as built:
-            mech.sample(reports, y, seed=3)
-        assert [np.shape(call.args[2]) for call in built.call_args_list] == [(1, 7)]
-
 
 class TestFtrlAndMw:
     def test_equal_scores_uniform(self):
@@ -861,6 +852,26 @@ def test_an_elf_grid_line_search_is_one_tally_dp(monkeypatch):
     bits = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
     Elf().utility_kernel(rng.random((2, 3)), bits)(rng.random((201, 3)))
     assert calls == [(201, 8, 3, 3)]
+
+
+def test_noisy_max_kernel_and_line_keep_their_values_in_small_chunks():
+    # the totals kernel and its line evaluate the law on chunks of rows sized
+    # as law's: 7 rows a call here, against every outcome row at once
+    mech, m = ReportNoisyMax(b=5.0), 5
+    rng = np.random.default_rng(55)
+    bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
+    own, weights = rng.random((4, m)), rng.random(2**m)
+    kernel = mech.utility_kernel(rng.random((2, m)), bits)
+    line = kernel.line(own[0], 2, weights)
+    whole = kernel(own), kernel(own[0]), line(0.3), line(1.0)
+    law = mechanisms.noisy_max_law
+    with mock.patch.object(mechanisms, "_LAW_ELEMENTS", 7 * mech.law_elements(3, m)), \
+            mock.patch.object(mechanisms, "noisy_max_law", side_effect=law) as counted:
+        chunked = kernel(own), kernel(own[0]), line(0.3), line(1.0)
+    rows = [len(call.args[0]) for call in counted.call_args_list]
+    assert max(rows) == 7 and sum(rows) == 7 * 2**m and len(rows) == 19 + 3 * 5
+    for a, b in zip(whole, chunked):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("config", STACK_CONFIGS, ids=STACK_IDS)
