@@ -4,8 +4,7 @@ A strategic forecaster holds immutable beliefs p over the events and chooses
 a report vector to maximize their probability of winning, in expectation over
 their own beliefs and the mechanism's randomness.  This module provides:
 
-- exact expected-win-probability evaluation by enumerating outcome vectors
-  (with a Monte Carlo fallback beyond the enumeration budget),
+- exact expected-win-probability evaluation by enumerating outcome vectors,
 - the closed-form leave-one-out optimal report for regularized-leader
   mechanisms and the fixed-point optimal report for noisy-max selection,
 - a full best-response solver (cyclic coordinate ascent, multi-started,
@@ -169,10 +168,6 @@ class StrategicContext:
         object.__setattr__(self, "own_beliefs", p)
 
     @property
-    def n(self) -> int:
-        return self.opponent_reports.shape[0] + 1
-
-    @property
     def m(self) -> int:
         return self.opponent_reports.shape[1]
 
@@ -221,38 +216,16 @@ class _ExactUtility:
         return np.array([np.dot(self.weights, row) for row in probs])
 
 
-def expected_win_prob(
-    ctx: StrategicContext,
-    candidate,
-    mc_trials: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Expected probability that the agent wins with the candidate report.
-
-    Exact by enumeration over all 2^m outcome vectors when m is within
-    ``ENUM_BUDGET``; otherwise requires ``mc_trials`` for a Monte Carlo
-    estimate over outcomes drawn from the agent's own beliefs.
-
-    Args:
-        ctx: the agent's strategic context (opponents, beliefs, mechanism).
-        candidate: (m,) report vector to evaluate.
-        mc_trials: outcome samples for the fallback estimate.
-        seed: seed for the fallback sampling.
-    """
+def expected_win_prob(ctx: StrategicContext, candidate) -> float:
+    """Expected probability that the agent wins with the (m,) candidate
+    report, exact by enumeration over all 2^m outcome vectors; m above
+    ``ENUM_BUDGET`` is refused."""
     r = np.asarray(candidate, dtype=float)
     if r.shape != (ctx.m,):
         raise ValueError(f"candidate shape {r.shape} does not match m={ctx.m}")
     if r.size > 0:
         as_probabilities(r, "candidate")
-    if ctx.m <= ENUM_BUDGET:
-        return _ExactUtility(ctx)(r)
-    if mc_trials is None:
-        raise ValueError(
-            f"m={ctx.m} exceeds the enumeration budget {ENUM_BUDGET} and no "
-            "mc_trials fallback was enabled"
-        )
-    outcomes = (np.random.default_rng(seed).random((mc_trials, ctx.m)) < ctx.own_beliefs).astype(float)
-    return float(np.mean(ctx.mechanism.law(np.vstack([r, ctx.opponent_reports]), outcomes)[:, 0]))
+    return _ExactUtility(ctx)(r)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +378,9 @@ def noisy_max_fixed_point(
     """
     if not 0.0 <= p_it <= 1.0:
         raise ValueError(f"belief must lie in [0, 1], got {p_it}")
-    if b < 4.0:
+    if not b >= 4.0:
         raise ValueError(f"the fixed-point contraction requires b >= 4, got {b}")
-    if abs(mu1 - mu0) > 1.0 + 1e-9:
+    if not abs(mu1 - mu0) <= 1.0 + 1e-9:
         raise ValueError("inconsistent continuations: |mu1 - mu0| must be <= 1")
 
     def step(r: float) -> float:
@@ -533,7 +506,7 @@ def dominance_clamp_check(ctx: StrategicContext, r_hat, gamma: float) -> ClampCh
     if not isinstance(ctx.mechanism, Ftrl):
         raise ValueError("the clamp dominance construction applies to regularized leaders only")
     _require_eta_in_range(ctx.mechanism.eta, ctx.mechanism.regularizer)
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     r = as_probabilities(r_hat, "r_hat")
     if r.shape != (ctx.m,):
@@ -577,7 +550,6 @@ def truthfulness_gap_sweep(
     m: int,
     num_contexts: int,
     seed: int,
-    extra_contexts: tuple[StrategicContext, ...] = (),
 ) -> TruthfulnessGapReport:
     """Measure the worst best-response deviation over random contexts.
 
@@ -591,7 +563,6 @@ def truthfulness_gap_sweep(
         m: events per context; must fit the exact enumeration budget.
         num_contexts: number of random contexts.
         seed: master seed; context k derives its own stream.
-        extra_contexts: handcrafted contexts appended to the sweep.
     """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
@@ -601,11 +572,7 @@ def truthfulness_gap_sweep(
     worst = -1.0
     witness: dict = {}
     gaps: list[float] = []
-    contexts: list[StrategicContext] = [
-        StrategicContext(rng.random((n - 1, m)), rng.random(m), mechanism)
-        for _ in range(num_contexts)
-    ]
-    contexts.extend(extra_contexts)
+    contexts = [StrategicContext(rng.random((n - 1, m)), rng.random(m), mechanism) for _ in range(num_contexts)]
     for k, ctx in enumerate(contexts):
         result = best_response_full(ctx, starts=SWEEP_STARTS, seed=k)
         gap = float(np.max(np.abs(result.report - ctx.own_beliefs)))
@@ -679,6 +646,8 @@ def strategy_report_row(
     best responder's response to ``opponent_reports`` under ``mechanism``."""
     if not strategy.responds:
         return strategy.plan(beliefs)
+    if not isinstance(strategy, BestResponse):
+        raise ValueError(f"competition trials cannot play the responder {strategy}")
     if opponent_reports is None or mechanism is None:
         raise ValueError("best-response strategies need opponent reports and a mechanism")
     p = as_probabilities(beliefs, "beliefs")

@@ -197,9 +197,6 @@ class TrialResult:
     draw: WinnerDraw
     accuracies: np.ndarray
 
-    def winner_is_eps_optimal(self, epsilon: float) -> bool:
-        return self.winner in epsilon_optimal_set(self.accuracies, epsilon)
-
 
 def _draw_winners(
     reports: np.ndarray,
@@ -738,16 +735,16 @@ def regret_bound(
             T >= max(1/alpha^2, beta/2) * D_R.
     """
     if variant == "mw":
-        if n is None or n < 2:
+        if n is None or not n >= 2:
             raise ValueError("the mw bound needs n >= 2")
-        if T < 8:
+        if not T >= 8:
             raise ValueError(f"the mw bound requires T >= 8, got T={T}")
         return 2.0 * math.sqrt(10.0 * T * math.log(n))
     if variant == "general":
-        if d_r is None or d_r <= 0.0 or alpha is None or alpha <= 0.0 or beta is None or beta <= 0.0:
+        if not all(v is not None and v > 0.0 for v in (d_r, alpha, beta)):
             raise ValueError("the general bound needs positive d_r, alpha, beta")
         threshold = max(1.0 / alpha**2, beta / 2.0) * d_r
-        if T < threshold:
+        if not T >= threshold:
             raise ValueError(
                 f"the general bound requires T >= max(1/alpha^2, beta/2) * D_R = {threshold}, got T={T}"
             )

@@ -9,7 +9,7 @@ must pass independent seeds; nothing here touches global RNG state.
 
 Every mechanism is one frozen dataclass with the same interface:
 
-- ``law(reports, outcomes, budget)``: the exact selection law given (R, y):
+- ``law(reports, outcomes)``: the exact selection law given (R, y):
   ``totals_law`` of the (..., n) score totals, or the tally DP over
   per-event point tables.  It takes an (n, m) report matrix or a (..., n, m)
   stack of them, and (m,) outcomes or a (..., m) stack; the batch axes of
@@ -109,7 +109,7 @@ __all__ = [
 ]
 
 DISTRIBUTION_TOL = 1e-10
-DEFAULT_ENUMERATION_BUDGET = 2**20
+DEFAULT_ENUMERATION_BUDGET = 2**20  # largest tally-DP operation count an exact point-lottery law runs
 GL_ORDER = 24  # Gauss-Legendre nodes per noisy-max panel between two sorted totals
 # working-array elements per ``_law`` call: ``law`` runs _LAW_ELEMENTS // law_elements(n, m) rows of
 # the broadcast batch at a time
@@ -335,7 +335,7 @@ class _UtilityKernel:
 class _Mechanism:
     """What every mechanism provides; see the module docstring."""
 
-    def law(self, reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+    def law(self, reports, outcomes) -> np.ndarray:
         """The (..., n) law of (..., n, m) reports against (..., m) outcomes,
         batch axes broadcast, by the family's ``_law`` on chunks of the
         broadcast batch of at most ``_LAW_ELEMENTS`` working elements."""
@@ -345,11 +345,11 @@ class _Mechanism:
         rows = math.prod(batch)
         chunks = _row_chunks(rows, self.law_elements(*r.shape[-2:]))
         if len(chunks) <= 1:
-            return self._law(r, y, budget)
+            return self._law(r, y)
         laws = []
         for chunk in chunks:
             index = np.unravel_index(np.arange(chunk.start, chunk.stop), batch)
-            laws.append(self._law(_batch_rows(r, index, 2), _batch_rows(y, index, 1), budget))
+            laws.append(self._law(_batch_rows(r, index, 2), _batch_rows(y, index, 1)))
         return np.concatenate(laws).reshape(batch + r.shape[-2:-1])
 
     def law_elements(self, n: int, m: int) -> int:
@@ -394,7 +394,7 @@ class _Mechanism:
 class _TotalsMechanism(_Mechanism):
     """A mechanism whose law depends on the reports only through score totals."""
 
-    def _law(self, reports, outcomes, budget):
+    def _law(self, reports, outcomes):
         return self.totals_law(_totals(reports, outcomes))
 
     def totals_law(self, totals: np.ndarray) -> np.ndarray:
@@ -460,8 +460,8 @@ class _PointLottery(_Mechanism):
     def _point_probs(self, r: np.ndarray, outcomes) -> np.ndarray:
         raise NotImplementedError
 
-    def _law(self, reports, outcomes, budget):
-        return _tally_dp_law(self._point_probs(reports, outcomes), budget)
+    def _law(self, reports, outcomes):
+        return _tally_dp_law(self._point_probs(reports, outcomes))
 
     def law_elements(self, n, m):
         """A row's (m, n) point table and the tally DP's states."""
@@ -547,7 +547,7 @@ def _rule_point_probs(g: Callable, r: np.ndarray, y: np.ndarray) -> np.ndarray:
     gs = np.broadcast_to(g(np.broadcast_to(r, shape), ys), shape)
     gs = np.ascontiguousarray(np.swapaxes(gs, -1, -2), dtype=float)
     f = 1.0 / n + gs - (gs.sum(axis=-1, keepdims=True) - gs) / (n - 1)
-    if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
+    if not (f.min() >= -1e-12 and f.max() <= 1.0 + 1e-12):
         *row, t, bad = np.unravel_index(int(np.argmax(np.abs(f - 0.5))), f.shape)
         raise ValueError(
             f"scoring rule g violates its range budget: event {t}, outcome {int(ys[(*row, bad, t)])}, "
@@ -595,7 +595,7 @@ class PointPerRound(_PointLottery):
         grid = np.linspace(0.0, 1.0, 101)
         vals = np.concatenate([np.broadcast_to(self.g(grid, np.full(grid.size, y)), grid.shape) for y in (0.0, 1.0)])
         observed = float(vals.max() - vals.min())
-        if observed > self.range_length + 1e-9:
+        if not observed <= self.range_length + 1e-9:
             raise ValueError(
                 f"sampled range of g has length {observed}, exceeding range_length = {self.range_length}"
             )
@@ -622,7 +622,7 @@ def _tally_graph(m: int, n: int) -> tuple[list[tuple[int, list[np.ndarray]]], np
     return steps, np.array(level)
 
 
-def _tally_dp_law(point_probs: np.ndarray, budget: int) -> np.ndarray:
+def _tally_dp_law(point_probs: np.ndarray) -> np.ndarray:
     """Exact winner law of a tally-and-argmax mechanism by dynamic programming,
     for an (m, n) point table or each table of a (..., m, n) stack.
 
@@ -633,9 +633,9 @@ def _tally_dp_law(point_probs: np.ndarray, budget: int) -> np.ndarray:
     """
     *batch, m, n = point_probs.shape
     est_ops = math.comb(m + n - 1, n - 1) * n * m
-    if est_ops > budget:
+    if est_ops > DEFAULT_ENUMERATION_BUDGET:
         raise ValueError(
-            f"exact winner law needs ~{est_ops} operations, over budget {budget}; "
+            f"exact winner law needs ~{est_ops} operations, over budget {DEFAULT_ENUMERATION_BUDGET}; "
             "estimate it from the mechanism's draw instead"
         )
     tables = point_probs.reshape(-1, m, n)
@@ -669,9 +669,9 @@ def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
     return Elf().sample(reports, outcomes, seed)
 
 
-def elf_winner_law(reports, outcomes, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+def elf_winner_law(reports, outcomes) -> np.ndarray:
     """Exact winner law of the event-lottery mechanism (budget permitting)."""
-    return Elf().law(reports, outcomes, budget)
+    return Elf().law(reports, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -924,12 +924,9 @@ MechanismConfig = SimpleMax | Elf | PointPerRound | Ftrl | MultWeights | ReportN
 # Dispatchers
 # ---------------------------------------------------------------------------
 
-def selection_law(
-    config: MechanismConfig, reports, outcomes,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> np.ndarray:
+def selection_law(config: MechanismConfig, reports, outcomes) -> np.ndarray:
     """Exact selection distribution of any mechanism given (R, y)."""
-    return config.law(reports, outcomes, budget)
+    return config.law(reports, outcomes)
 
 
 def select(config: MechanismConfig, reports, outcomes, seed: int) -> WinnerDraw:

@@ -143,6 +143,6 @@ def epsilon_optimal_set(accuracies, epsilon: float) -> set[int]:
     a = np.asarray(accuracies, dtype=float)
     if a.size == 0:
         raise ValueError("accuracy vector must be nonempty")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     return set(int(i) for i in np.flatnonzero(a >= a.max() - epsilon))

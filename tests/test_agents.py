@@ -27,6 +27,7 @@ from forecastcomp.agents import (
     truthfulness_gap_sweep,
 )
 from forecastcomp import mechanisms
+from forecastcomp.experiments import MyopicBestResponse
 from forecastcomp.mechanisms import Elf, Ftrl, MultWeights, PointPerRound, ReportNoisyMax, SimpleMax
 from forecastcomp.regularizers import L2, entropy_conjugate_partial2
 
@@ -63,19 +64,16 @@ class TestExpectedWinProb:
         se = laws.std() / math.sqrt(trials)
         assert abs(exact - laws.mean()) <= 3 * se + 1e-9
 
-    def test_budget_exceeded_without_fallback(self):
+    @pytest.mark.parametrize(
+        "mechanism",
+        [MultWeights(eta=0.1), Ftrl(regularizer=L2, eta=0.2), ReportNoisyMax(b=5.0), Elf(), SimpleMax()],
+        ids=lambda mech: type(mech).__name__,
+    )
+    def test_budget_exceeded_without_fallback(self, mechanism):
         rng = np.random.default_rng(2)
-        ctx = StrategicContext(rng.random((1, 25)), rng.random(25), MultWeights(eta=0.1))
-        with pytest.raises(ValueError, match="budget"):
+        ctx = StrategicContext(rng.random((1, 25)), rng.random(25), mechanism)
+        with pytest.raises(ValueError, match="m=25 exceeds the exact enumeration budget 20"):
             expected_win_prob(ctx, rng.random(25))
-
-    def test_monte_carlo_fallback_beyond_budget(self):
-        # mirroring the opponent keeps the exact answer at 1/2 for any m
-        rng = np.random.default_rng(3)
-        opp = rng.random((1, 30))
-        ctx = StrategicContext(opp, rng.random(30), MultWeights(eta=0.1))
-        est = expected_win_prob(ctx, opp[0], mc_trials=4000, seed=5)
-        assert est == pytest.approx(0.5, abs=1e-9)
 
 
 class TestLeaveOneOutOptimum:
@@ -232,6 +230,23 @@ class TestNoisyMaxFixedPoint:
     def test_inconsistent_mus_refused(self):
         with pytest.raises(ValueError, match="inconsistent"):
             noisy_max_fixed_point(0.5, 0.0, 1.5, 40.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: noisy_max_fixed_point(0.5, 0.0, 0.0, math.nan), "b >= 4"),
+        (lambda: noisy_max_fixed_point(0.5, math.nan, 0.0, 40.0), "inconsistent"),
+        (lambda: noisy_max_fixed_point(0.5, 0.0, math.nan, 40.0), "inconsistent"),
+        (lambda: dominance_clamp_check(
+            StrategicContext(np.array([[0.3]]), np.array([0.5]), MultWeights(eta=0.05)), np.array([0.9]), math.nan,
+        ), "gamma must be positive"),
+    ],
+    ids=["fixed-point-b", "fixed-point-mu0", "fixed-point-mu1", "clamp-gamma"],
+)
+def test_nan_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestBestResponseFull:
@@ -507,12 +522,11 @@ class TestTruthfulnessGapSweep:
         assert report.gamma_empirical <= 0.05
 
     def test_simple_max_not_truthful(self):
-        hedger = StrategicContext(np.array([[0.9], [0.1]]), np.array([0.5]), SimpleMax())
-        report = truthfulness_gap_sweep(
-            SimpleMax(), n=3, m=1, num_contexts=5, seed=2, extra_contexts=(hedger,)
-        )
+        report = truthfulness_gap_sweep(SimpleMax(), n=3, m=1, num_contexts=5, seed=2)
         assert report.gamma_theoretical is None
-        assert report.gamma_empirical >= 0.5 - 1e-9
+        hedger = StrategicContext(np.array([[0.9], [0.1]]), np.array([0.5]), SimpleMax())
+        result = best_response_full(hedger, starts=agents.SWEEP_STARTS, seed=5)
+        assert np.max(np.abs(result.report - hedger.own_beliefs)) >= 0.5 - 1e-9
 
 
 class TestStrategies:
@@ -549,6 +563,11 @@ class TestStrategies:
         np.testing.assert_array_equal(reports[0], beliefs[0])
         np.testing.assert_allclose(reports[1], extremize(beliefs[1], 0.3))
         assert np.max(np.abs(reports[2] - beliefs[2])) <= 4 * 0.05
+
+    def test_build_reports_refuses_an_online_responder(self):
+        beliefs = np.random.default_rng(15).random((3, 2))
+        with pytest.raises(ValueError, match="cannot play the responder MyopicBestResponse"):
+            build_reports([MyopicBestResponse()] * 3, beliefs, MultWeights(eta=0.05))
 
     def test_build_reports_exact_best_response(self):
         rng = np.random.default_rng(14)

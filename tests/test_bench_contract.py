@@ -1,10 +1,13 @@
 """The benchmark's traced run wraps library functions by module attribute
 name, and copies a regularizer with its conjugate calculus wrapped; every
-name it lists and every field it replaces must still resolve, so a refactor
-that drops one fails here rather than in the benchmark."""
+name it lists and every field it replaces must still resolve, and every
+library call its workloads make must still bind to the callee's signature,
+so a refactor that drops one fails here rather than in the benchmark."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +64,52 @@ def test_traced_solve_records_its_line_searches():
     parents = [parent for _, parent, _, name, _, _ in tracer.spans if name == "agents.golden_section_max"]
     assert len(parents) >= 2 * ctx.m
     assert {names[parent] for parent in parents} == {"agents.best_response_full"}
+
+
+LIBRARY_MODULES = ("agents", "cli", "experiments", "mechanisms", "regularizers")
+
+
+def _workload_calls():
+    """(module, name, positional count, keywords, whether partial, line) of
+    each call in ``bench/workloads.py`` of a library module's attribute,
+    directly, through a local alias of the module, or as the function of a
+    ``functools.partial``."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    aliases = {name: name for name in LIBRARY_MODULES}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in LIBRARY_MODULES:
+            aliases.update({t.id: node.value.id for t in node.targets if isinstance(t, ast.Name)})
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args, partial = node.func, node.args, False
+        if ast.unparse(func) == "functools.partial":
+            func, args, partial = args[0], args[1:], True
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in aliases:
+            assert not any(isinstance(a, ast.Starred) for a in args), f"line {node.lineno}: starred argument"
+            keywords = tuple(k.arg for k in node.keywords)
+            assert None not in keywords, f"line {node.lineno}: ** argument"
+            calls.append((aliases[func.value.id], func.attr, len(args), keywords, partial, node.lineno))
+    return sorted(calls, key=lambda call: call[-1])
+
+
+def test_workloads_pass_the_keywords_the_parser_expects():
+    # guards the parser itself: a missed alias or partial would drop calls silently
+    keywords = {k for *_, kws, _, _ in _workload_calls() for k in kws}
+    assert keywords == {"threads", "m_start", "max_trial_scale", "seed", "starts", "mode", "pull", "eta", "b"}
+
+
+@pytest.mark.parametrize(
+    "module, name, positional, keywords, partial, line",
+    [pytest.param(*call, id=f"{call[0]}.{call[1]}:{call[-1]}") for call in _workload_calls()],
+)
+def test_workload_call_binds(module, name, positional, keywords, partial, line):
+    target = getattr(importlib.import_module(f"forecastcomp.{module}"), name, None)
+    assert callable(target), f"bench/workloads.py:{line} calls forecastcomp.{module}.{name}, which is gone"
+    sig = inspect.signature(target)
+    bind = sig.bind_partial if partial else sig.bind
+    try:
+        bind(*[None] * positional, **dict.fromkeys(keywords))
+    except TypeError as err:
+        pytest.fail(f"bench/workloads.py:{line}: forecastcomp.{module}.{name}{sig} no longer takes this call: {err}")

@@ -88,7 +88,7 @@ class TestTrials:
         setting = CompetitionSetting(beliefs, np.ones(4))
         result = run_competition_trial(setting, [Truthful()] * 3, SimpleMax(), seed=11)
         assert result.winner == 0
-        assert result.winner_is_eps_optimal(0.5)
+        assert result.winner in setting.epsilon_optimal(0.5)
 
     def test_bit_exact_replay(self):
         setting = perfect_vs_terrible_setting(5, 6)
@@ -659,6 +659,9 @@ class TestHoeffdingSanity:
         assert np.all(rates <= delta / n + 3 * se)
 
 
+ENTROPY_CONSTANTS = {"d_r": math.log(8), "alpha": 0.5, "beta": 3.0}
+
+
 class TestRegretBound:
     def test_mw_value(self):
         T, n = 10**4, 10
@@ -675,6 +678,22 @@ class TestRegretBound:
             regret_bound("mw", 4, 10)
         with pytest.raises(ValueError, match="max"):
             regret_bound("general", 1, d_r=10.0, alpha=0.5, beta=3.0)
+
+    @pytest.mark.parametrize(
+        "variant, T, kwargs, message",
+        [
+            ("general", 5000, {**ENTROPY_CONSTANTS, "d_r": math.nan}, "positive d_r, alpha, beta"),
+            ("general", 5000, {**ENTROPY_CONSTANTS, "alpha": math.nan}, "positive d_r, alpha, beta"),
+            ("general", 5000, {**ENTROPY_CONSTANTS, "beta": math.nan}, "positive d_r, alpha, beta"),
+            ("general", math.nan, ENTROPY_CONSTANTS, "requires T >= max"),
+            ("mw", math.nan, {"n": 10}, "requires T >= 8"),
+            ("mw", 10**4, {"n": math.nan}, "needs n >= 2"),
+        ],
+        ids=["d_r", "alpha", "beta", "general-T", "mw-T", "mw-n"],
+    )
+    def test_nan_input_rejected(self, variant, T, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            regret_bound(variant, T, **kwargs)
 
 
 class TestSuccessMonotonicity:

@@ -164,8 +164,8 @@ class TestElfSelect:
     def test_dp_budget_error(self):
         reports = np.random.default_rng(16).random((8, 200))
         y = np.ones(200)
-        with pytest.raises(ValueError, match="budget"):
-            elf_winner_law(reports, y, budget=1000)
+        with pytest.raises(ValueError, match=f"over budget {DEFAULT_ENUMERATION_BUDGET}"):
+            elf_winner_law(reports, y)
 
 
 class TestPointPerRound:
@@ -210,6 +210,27 @@ class TestPointPerRound:
         assert len(calls) == 2
         assert [d.winner for d in draws] == [Elf().sample(reports, y, seed=k).winner for k in range(2)]
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            ("construct", "sampled range of g has length nan"),
+            ("law", "violates its range budget: .* point probability nan"),
+            ("sample", "violates its range budget: .* point probability nan"),
+        ],
+        ids=["construct", "law", "sample"],
+    )
+    def test_nan_rule_rejected(self, call, message):
+        # NaN everywhere at construction; otherwise only strictly between the
+        # construction grid's 0.30 and 0.31, where its range check cannot see it
+        def g(r, y):
+            nan = np.full(np.shape(r), True) if call == "construct" else (r > 0.302) & (r < 0.308)
+            return np.where(nan, np.nan, (1.0 - (y - r) ** 2) / 5.0)
+
+        reports, y = np.array([[0.305, 0.5], [0.2, 0.7], [0.9, 0.1]]), np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match=message):
+            mech = PointPerRound(g, range_length=0.2)
+            mech.law(reports, y) if call == "law" else mech.sample(reports, y, seed=0)
+
     def test_range_beyond_declared_length_rejected_at_construction(self):
         with pytest.raises(ValueError, match="range_length"):
             PointPerRound(lambda r, y: (1.0 - (y - r) ** 2) / 2.0, range_length=0.25)
@@ -225,7 +246,7 @@ class TestLotteryValidation:
         with mock.patch.object(mechanisms, "_validate_stack", wraps=mechanisms._validate_stack) as validate:
             law = mech.law(reports, bits)
         assert validate.call_count == 1
-        assert np.array_equal(law, _tally_dp_law(mech.point_probs(reports, bits), 2**20))
+        assert np.array_equal(law, _tally_dp_law(mech.point_probs(reports, bits)))
 
     @pytest.mark.parametrize("mech", LOTTERIES, ids=["elf", "point-per-round"])
     def test_law_and_point_probs_keep_their_refusals(self, mech):
@@ -539,7 +560,7 @@ class TestTallyDp:
             bits = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
             tables = Elf().point_probs(reports, bits)
             zeros += int(np.sum(tables == 0.0))
-            for table, law in zip(tables, _tally_dp_law(tables, DEFAULT_ENUMERATION_BUDGET)):
+            for table, law in zip(tables, _tally_dp_law(tables)):
                 np.testing.assert_allclose(law, _path_enumeration(table), rtol=0.0, atol=1e-12)
         assert zeros > 0
 
@@ -843,9 +864,9 @@ def test_an_elf_grid_line_search_is_one_tally_dp(monkeypatch):
     # 201 candidates against 8 outcome rows: 1,608 rows, one chunk of ELF's size
     calls = []
 
-    def counting(point_probs, budget):
+    def counting(point_probs):
         calls.append(point_probs.shape)
-        return _tally_dp_law(point_probs, budget)
+        return _tally_dp_law(point_probs)
 
     monkeypatch.setattr(mechanisms, "_tally_dp_law", counting)
     rng = np.random.default_rng(54)

@@ -119,6 +119,12 @@ class TestEpsilonOptimalSet:
         with pytest.raises(ValueError):
             epsilon_optimal_set([0.5], -0.1)
 
+    @pytest.mark.parametrize("accuracies", [[0.5], [0.9, 0.85, 0.5]])
+    def test_nan_epsilon_rejected(self, accuracies):
+        # a NaN slack would qualify no one, though the set always holds an argmax
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            epsilon_optimal_set(accuracies, float("nan"))
+
 
 class TestScoreMatrix:
     def test_matches_scalar(self):
