@@ -21,7 +21,6 @@ from forecastcomp.scoring import (
     epsilon_optimal_set,
     expected_avg_quadratic_score,
     outcome_variance_constant,
-    quadratic_score,
     score_matrix,
 )
 from forecastcomp.regularizers import (
@@ -51,7 +50,6 @@ from forecastcomp.mechanisms import (
     ftrl_select,
     mw_select,
     report_noisy_max_select,
-    sample_laplace,
     select,
     selection_law,
     simple_max_select,

@@ -191,7 +191,8 @@ def _outcome_weights(beliefs: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 class _ExactUtility:
     """Expected win probability of agent 0 as a function of their report: a
-    float for an (m,) report, a (G,) array for a (G, m) stack of candidates.
+    float for an (m,) report, a (G,) array for a (G, m) stack of candidates
+    under a law-based kernel (Simple Max and the lotteries: the grid path).
 
     Enumerates all outcome vectors once; the mechanism's utility kernel
     evaluates its law over all of them, and over every candidate, in one call.

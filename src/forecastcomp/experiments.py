@@ -66,6 +66,7 @@ __all__ = [
 
 WILSON_Z = 1.959963984540054  # the two-sided 95% normal quantile
 DRAW_CHUNK = 2**15  # working-array elements of one draw call in the trial engine
+MAX_HORIZON = 12  # most rounds a consistent best response looks ahead: 2^12 outcome paths
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
@@ -191,11 +192,10 @@ def identical_beliefs_setting(n: int, m: int, seed: int) -> CompetitionSetting:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One competition trial: the sampled winner plus the setting accuracies."""
+    """One competition trial: the sampled winner and its draw."""
 
     winner: int
     draw: WinnerDraw
-    accuracies: np.ndarray
 
 
 def _draw_winners(
@@ -227,7 +227,7 @@ def run_competition_trial(
     """Build reports from strategies, sample outcomes, and run the mechanism."""
     reports = build_reports(strategies, setting.beliefs, mechanism, seed=derive_seed(seed, 0))
     [draw] = _draw_winners(reports, setting.theta, mechanism, [(derive_seed(seed, 1), derive_seed(seed, 2))])
-    return TrialResult(winner=draw.winner, draw=draw, accuracies=setting.accuracies())
+    return TrialResult(winner=draw.winner, draw=draw)
 
 
 @dataclass(frozen=True)
@@ -411,30 +411,36 @@ def theoretical_bounds(
             exposed because they differ).
         mw: 200 ln(2n/delta) / eps^2.
         noisy_max: 28 ln(2n/delta) / (eps * gamma), gamma defaults to eps/14.
+
+    A bound that overflows, or whose denominator underflows to 0, is refused.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError(f"epsilon and delta must lie in (0, 1), got {epsilon}, {delta}")
+    denominator = epsilon**2
     if variant == "simple_max":
-        value = 2.0 * math.log(n / delta) / epsilon**2
+        numerator = 2.0 * math.log(n / delta)
     elif variant == "elf":
         if n < 3:
             raise ValueError("the elf bound needs n >= 3")
-        value = 5.0 * (n - 1) * math.log(4.0 * (n - 1) / delta) / epsilon**2
+        numerator = 5.0 * (n - 1) * math.log(4.0 * (n - 1) / delta)
     elif variant == "elf_proof":
         if n < 3:
             raise ValueError("the elf_proof bound needs n >= 3")
-        value = 20.0 * (n - 1) * math.log(n / delta) / epsilon**2
+        numerator = 20.0 * (n - 1) * math.log(n / delta)
     elif variant == "mw":
-        value = 200.0 * math.log(2.0 * n / delta) / epsilon**2
+        numerator = 200.0 * math.log(2.0 * n / delta)
     elif variant == "noisy_max":
         g = epsilon / 14.0 if gamma is None else gamma
         if not 0.0 < g <= epsilon / 14.0:
             raise ValueError(f"gamma must lie in (0, epsilon/14], got {g}")
-        value = 28.0 * math.log(2.0 * n / delta) / (epsilon * g)
+        numerator, denominator = 28.0 * math.log(2.0 * n / delta), epsilon * g
     else:
         raise ValueError(f"unknown bound variant {variant!r}")
+    value = numerator / denominator if denominator else math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the {variant} bound is not finite at n={n}, epsilon={epsilon}, delta={delta}")
     return math.ceil(value)
 
 
@@ -527,9 +533,7 @@ class ConsistentBestResponse(_Strategy):
     """Online expert maximizing the preference-weighted sum of their later
     selection probabilities, by per-round best response to the others' fixed
     plans.  The expectation enumerates the outcomes of every round up to the
-    last one the preference weighs; more than ``max_horizon`` is refused."""
-
-    max_horizon: int = 12
+    last one the preference weighs; more than ``MAX_HORIZON`` is refused."""
 
     responds: ClassVar[bool] = True
     # The preference it plays under; None plays the run's.
@@ -541,8 +545,6 @@ class MyopicBestResponse(ConsistentBestResponse):
     """Online expert maximizing only their next-round selection probability:
     the consistent best response under the myopic preference, whatever the
     run's preference."""
-
-    max_horizon: int = field(default=1, init=False, repr=False)
 
     preference: ClassVar[OnlinePreference] = OnlinePreference("myopic")
 
@@ -662,7 +664,7 @@ def online_run(
 
         return lockstep_golden_section_max(utility, np.zeros(len(idx)), np.ones(len(idx)), xtol=1e-8)[0]
 
-    unplayable = [s for s in strategies if s.responds and not hasattr(s, "max_horizon")]
+    unplayable = [s for s in strategies if s.responds and not isinstance(s, ConsistentBestResponse)]
     if unplayable:
         raise ValueError(f"online_run cannot play the responders {unplayable}")
     responders = {i: s.preference or preference for i, s in enumerate(strategies) if s.responds}
@@ -671,18 +673,19 @@ def online_run(
         groups.setdefault(pref, []).append(i)
     outcomes = (np.random.default_rng(seed).random(T) < t_vec).astype(float)
     planned = np.vstack([s.plan(p[i]) for i, s in enumerate(strategies)])
+    # a preference looks furthest ahead at round 0
+    for pref in groups:
+        horizon = len(pref.weights_after(0, T))
+        if horizon > MAX_HORIZON:
+            raise ValueError(
+                f"consistent best response enumerates 2^{horizon} outcome paths; max_horizon is {MAX_HORIZON}"
+            )
     reports = planned
     if responders:
         reports = planned.copy()
         totals = np.zeros(n)
         for t in range(T):
             coefs = {pref: pref.weights_after(t, T) for pref in groups}
-            for i, pref in responders.items():
-                horizon, max_horizon = len(coefs[pref]), strategies[i].max_horizon
-                if horizon > max_horizon:
-                    raise ValueError(
-                        f"consistent best response enumerates 2^{horizon} outcome paths; max_horizon is {max_horizon}"
-                    )
             for pref, idx in groups.items():
                 reports[idx, t] = respond(idx, t, totals, coefs[pref])
             totals += 1.0 - (outcomes[t] - reports[:, t]) ** 2

@@ -18,19 +18,18 @@ Every mechanism is one frozen dataclass with the same interface:
   against (B, m) outcomes gives (G, B, n).  Each row is bit for bit the law
   of its report matrix and outcome vector alone, whatever chunks of the
   batch the family's working size per row, ``law_elements(n, m)``, sets;
-- ``draw(reports, outcomes, seeds)``: one sampled :class:`WinnerDraw` per
-  row of a (B, m) outcome stack, for one (n, m) report matrix (every
-  sampling entry point refuses a stack of them), trial k drawing only from
+- ``sampler(reports)``: for one (n, m) report matrix (every sampling entry
+  point refuses a stack of them), with the work that depends only on the
+  reports done once, a function giving one sampled :class:`WinnerDraw` per
+  row of a (B, m) outcome stack, trial k drawing only from
   ``np.random.default_rng(seeds[k])``, so a trial draws the same alone as in
-  any stack; ``sample(reports, outcomes, seed)`` is its one-row case;
-- ``sampler(reports)``: ``draw`` for one report matrix with the work that
-  depends only on the reports done once, for callers that draw many stacks
-  on the same reports; ``trial_elements(n, m)`` is the working-array size
-  one trial adds to a stack, by which such callers size their stacks;
+  any stack; ``sample(reports, outcomes, seed)`` is its one-row case, and
+  ``trial_elements(n, m)`` the working-array size one trial adds to a stack;
 - ``utility_kernel(opponent_reports, bits)``: row 0's report to P(row 0
   wins) under each outcome row of ``bits``, column 0 of ``law``: (B,) for an
-  (m,) report, (G, B) for a (G, m) stack of candidates.  Simple Max and the
-  lotteries make one ``law`` call on the stacked reports.  FTRL and noisy
+  (m,) report.  Simple Max and the lotteries make one ``law`` call on the
+  stacked reports and also take the best-response grid's (G, m) stack of
+  candidates, giving (G, B).  FTRL and noisy
   max score the opponents once per kernel (negative-entropy FTRL keeps
   their log-sum-exp and takes a sigmoid) and add ``line(own, t, weights)``:
   along coordinate t the own total under outcome row y is
@@ -63,8 +62,8 @@ Mechanisms:
 
 The module-level functions (``select``, ``selection_law``, ``elf_select``,
 ``noisy_max_win_prob``, ...) are thin delegates kept for callers that name a
-mechanism by function; ``elf_point_prob`` and ``elf_sample_points`` show one
-ELF event's point probabilities and one run's sampled point tallies.
+mechanism by function; ``elf_point_prob`` shows one ELF event's point
+probabilities.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ __all__ = [
     "derive_seed",
     "simple_max_select",
     "elf_point_prob",
-    "elf_sample_points",
     "elf_select",
     "elf_winner_law",
     "ftrl_select",
@@ -102,7 +100,6 @@ __all__ = [
     "noisy_max_win_prob",
     "noisy_max_law",
     "laplace_from_uniform",
-    "sample_laplace",
     "sample_winner",
     "selection_law",
     "select",
@@ -152,14 +149,6 @@ class WinnerDraw:
         if not 0 <= self.winner < dist.size:
             raise ValueError(f"winner index {self.winner} out of range for n={dist.size}")
 
-    def to_record(self) -> dict:
-        return {
-            "winner": int(self.winner),
-            "distribution": [float(v) for v in self.distribution],
-            "seed": int(self.rng_trace.seed),
-            "draws": int(self.rng_trace.draws),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -207,15 +196,6 @@ def _totals_for_outcomes(reports: np.ndarray, bits: np.ndarray) -> np.ndarray:
     # outcome row of ``bits`` at once
     base = np.sum(1.0 - reports**2, axis=-1)
     return base + bits @ (2.0 * reports - 1.0).T
-
-
-def _own_totals(own: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """(B,) totals of an (m,) own report under each outcome row of ``bits``, or
-    (G, B) for a (G, m) stack: one product per report, as bits @ V.T over a
-    stack rounds differently from bits @ v."""
-    if own.ndim == 1:
-        return _totals_for_outcomes(own, bits)
-    return np.array([_totals_for_outcomes(v, bits) for v in own])
 
 
 def _line_rest(own: np.ndarray, bits: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +294,8 @@ def _sample_tallies(
 class _UtilityKernel:
     """P(row 0 wins) under each outcome row of a (B, m) table, with fixed
     opponents below row 0.  Called on an (m,) own report it gives (B,) win
-    probabilities, on a (G, m) stack of them (G, B).  ``line(own, t,
+    probabilities; the law-based kernels of Simple Max and the lotteries
+    also take a (G, m) stack of them, giving (G, B).  ``line(own, t,
     weights)`` maps v to the (B,) ``weights``' sum of the win probabilities
     of ``own`` with own[t] = v, having done once the work that does not
     depend on v.  Only a mechanism whose expected win probability is
@@ -356,23 +337,20 @@ class _Mechanism:
         """Working-array elements one row of the batch adds to a ``_law`` call: its (n, m) scores."""
         return n * m
 
-    def draw(self, reports, outcomes, seeds: Sequence[int]) -> list[WinnerDraw]:
-        """One sampled winner per row of a (B, m) outcome stack.  Trial k's
-        randomness comes from ``np.random.default_rng(seeds[k])`` alone, so
-        it draws the same alone as in any stack."""
-        return self.sampler(reports)(outcomes, seeds)
-
     def sample(self, reports, outcomes, seed: int) -> WinnerDraw:
-        """One sampled winner for outcomes (m,): the one-row case of ``draw``."""
-        return self.draw(reports, np.asarray(outcomes, dtype=float)[None], [seed])[0]
+        """One sampled winner for outcomes (m,): the one-row case of ``sampler``."""
+        return self.sampler(reports)(np.asarray(outcomes, dtype=float)[None], [seed])[0]
 
     def sampler(self, reports) -> Callable[[np.ndarray, Sequence[int]], list[WinnerDraw]]:
-        """``draw`` on one report matrix, as a function of (outcomes, seeds)
-        that has done once the work depending only on the reports."""
+        """One sampled winner per row of a (B, m) outcome stack, as a function
+        of (outcomes, seeds) that has done once the work depending only on
+        the reports.  Trial k's randomness comes from
+        ``np.random.default_rng(seeds[k])`` alone, so it draws the same alone
+        as in any stack."""
         raise NotImplementedError
 
     def trial_elements(self, n: int, m: int) -> int:
-        """Working-array elements one trial adds to a ``draw`` call: its (n, m) scores."""
+        """Working-array elements one trial adds to a sampler call: its (n, m) scores."""
         return n * m
 
     def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> _UtilityKernel:
@@ -402,16 +380,15 @@ class _TotalsMechanism(_Mechanism):
         raise NotImplementedError
 
     def utility_kernel(self, opponent_reports, bits):
-        """``totals_law`` of the own totals beside the opponents', which are
-        scored once, under every outcome row.  A line writes its own totals,
-        Q_rest + (1 - v^2) + y_t (2v - 1), into a column it keeps."""
+        """``totals_law`` of an (m,) own report's totals beside the
+        opponents', which are scored once, under every outcome row.  A line
+        writes its own totals, Q_rest + (1 - v^2) + y_t (2v - 1), into a
+        column it keeps."""
         others = _totals_for_outcomes(opponent_reports, bits)
         m = bits.shape[1]
 
         def win_probs(own: np.ndarray) -> np.ndarray:
-            q = _own_totals(own, bits)
-            totals = np.concatenate([q[..., None], np.broadcast_to(others, q.shape + others.shape[-1:])], axis=-1)
-            return self._first_column(totals, m)
+            return self._first_column(np.column_stack([_totals_for_outcomes(own, bits), others]), m)
 
         def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
             rest, y = _line_rest(own, bits, t)
@@ -448,14 +425,10 @@ class _TotalsMechanism(_Mechanism):
 class _PointLottery(_Mechanism):
     """One point per event by lottery; the point leader wins, ties uniform.
 
-    ``point_probs(reports, outcomes)`` is the (..., m, n) table of per-event
-    point probabilities for (..., n, m) reports and (..., m) outcomes, batch
-    axes broadcast.  Subclasses give it as ``_point_probs`` on reports that
-    are already validated, so that ``law`` validates them once.
+    Subclasses give ``_point_probs(r, outcomes)``, the (..., m, n) table of
+    per-event point probabilities for validated (..., n, m) reports and
+    (..., m) outcomes, batch axes broadcast.
     """
-
-    def point_probs(self, reports, outcomes) -> np.ndarray:
-        return self._point_probs(_validate_stack(reports), outcomes)
 
     def _point_probs(self, r: np.ndarray, outcomes) -> np.ndarray:
         raise NotImplementedError
@@ -488,7 +461,7 @@ class _PointLottery(_Mechanism):
         """The cumulative point tables for every event under outcome 0 and 1,
         each row sorted, (2, m, n), and their row totals, (2, m).  A table row
         depends only on its own event and outcome, so these hold every row a
-        trial uses; one ``point_probs`` call over the two outcome rows makes
+        trial uses; one ``_point_probs`` call over the two outcome rows makes
         each row as a call on a trial's outcomes would."""
         r = _validate_reports(reports)
         cum = np.ascontiguousarray(self._point_probs(r, np.repeat([[0.0], [1.0]], r.shape[1], axis=1)))
@@ -657,13 +630,6 @@ def elf_point_prob(reports, y_t: int, t: int) -> np.ndarray:
     return Elf()._point_probs(_validate_reports(reports)[:, [t]], [y_t])[0]
 
 
-def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
-    """Sample the per-forecaster point tallies of one ELF run."""
-    tables = Elf()._point_tables(reports)
-    y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], tables[1].shape[1])
-    return _sample_tallies(tables, y, [np.random.default_rng(seed)])[0]
-
-
 def elf_select(reports, outcomes, seed: int) -> WinnerDraw:
     """Run the event lotteries, tally points, and pick the point leader."""
     return Elf().sample(reports, outcomes, seed)
@@ -720,7 +686,7 @@ class Ftrl(_TotalsMechanism):
         log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
 
         def win_probs(own: np.ndarray) -> np.ndarray:
-            return 1.0 / (1.0 + np.exp(log_a - eta * _own_totals(own, bits)))
+            return 1.0 / (1.0 + np.exp(log_a - eta * _totals_for_outcomes(own, bits)))
 
         def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
             # one sigmoid per point: L = log_a - eta Q_rest, less eta times the coordinate's own score
@@ -785,11 +751,6 @@ def laplace_from_uniform(u: float, b: float) -> float:
     return -b * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u)) if u != 0.0 else 0.0
 
 
-def sample_laplace(rng: np.random.Generator, b: float) -> float:
-    """One Laplace(0, b) sample from one uniform draw (exact replay contract)."""
-    return laplace_from_uniform(float(rng.random()) - 0.5, b)
-
-
 @dataclass(frozen=True)
 class ReportNoisyMax(_TotalsMechanism):
     """Argmax of Laplace-perturbed totals; the scale b must be at least 4."""
@@ -828,7 +789,7 @@ def report_noisy_max_select(reports, outcomes, b: float, seed: int) -> WinnerDra
 
 def _noisy_max_draws(totals: np.ndarray, b: float, seeds: Sequence[int]) -> list[WinnerDraw]:
     """Argmax of each row of (B, n) totals plus n Laplace(0, b) draws, the
-    row's n uniforms mapped one at a time as by :func:`sample_laplace`:
+    row's n uniforms u mapped one at a time by ``laplace_from_uniform(u - 0.5, b)``:
     np.log1p differs from math.log1p in the last bits."""
     n = totals.shape[1]
     noise = [[laplace_from_uniform(u - 0.5, b) for u in np.random.default_rng(seed).random(n).tolist()] for seed in seeds]

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "quadratic_score",
     "score_matrix",
     "accuracy",
     "expected_avg_quadratic_score",
@@ -51,23 +50,6 @@ def as_outcomes(values, name: str = "outcomes") -> np.ndarray:
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValueError(f"{name} entries must be exactly 0 or 1")
     return arr
-
-
-def quadratic_score(q: float, y: int) -> float:
-    """Quadratic score of report ``q`` against binary outcome ``y``.
-
-    Args:
-        q: reported probability, in [0, 1].
-        y: realized outcome, 0 or 1.
-
-    Returns:
-        1 - (y - q)^2, which lies in [0, 1].
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"report must lie in [0, 1], got {q}")
-    if y not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {y}")
-    return 1.0 - (y - q) ** 2
 
 
 def score_matrix(reports, outcomes) -> np.ndarray:

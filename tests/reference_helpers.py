@@ -5,8 +5,11 @@
 - ``l2_conjugate``: the L2 conjugate's value at the simplex projection;
 - ``finite_difference_partials``: central-difference partials of a conjugate,
   to check closed forms against;
-- ``mc_winner_law``: a mechanism's winner frequencies over ``draw``, to check
-  exact laws against.
+- ``mc_winner_law``: a mechanism's winner frequencies over its sampler, to
+  check exact laws against;
+- ``elf_sample_points``: one ELF run's sampled point tallies;
+- ``to_record``: a :class:`WinnerDraw` as a dict of plain values, to compare
+  draws by.
 """
 
 import math
@@ -14,7 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from forecastcomp.mechanisms import MechanismConfig, _validate_reports, derive_seed
+from forecastcomp.mechanisms import (
+    Elf,
+    MechanismConfig,
+    WinnerDraw,
+    _outcome_stack,
+    _sample_tallies,
+    _validate_reports,
+    derive_seed,
+)
 from forecastcomp.regularizers import _as_finite_rows, _project_to_simplex
 
 FD_STEP = 1e-4  # central-difference step of the finite-difference partials
@@ -76,7 +87,23 @@ def mc_winner_law(config: MechanismConfig, reports, outcomes, trials: int, seed:
         raise ValueError(f"trials must be >= 1, got {trials}")
     r = _validate_reports(reports)
     y = np.asarray(outcomes, dtype=float)
-    draws = config.draw(r, np.broadcast_to(y, (trials, y.size)), [derive_seed(seed, k) for k in range(trials)])
+    draws = config.sampler(r)(np.broadcast_to(y, (trials, y.size)), [derive_seed(seed, k) for k in range(trials)])
     law = np.bincount([d.winner for d in draws], minlength=r.shape[0]) / trials
     se = float(np.sqrt(np.max(law * (1.0 - law)) / trials))
     return law, se
+
+
+def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
+    """Sample the per-forecaster point tallies of one ELF run."""
+    tables = Elf()._point_tables(reports)
+    y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], tables[1].shape[1])
+    return _sample_tallies(tables, y, [np.random.default_rng(seed)])[0]
+
+
+def to_record(draw: WinnerDraw) -> dict:
+    return {
+        "winner": int(draw.winner),
+        "distribution": [float(v) for v in draw.distribution],
+        "seed": int(draw.rng_trace.seed),
+        "draws": int(draw.rng_trace.draws),
+    }

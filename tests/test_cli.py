@@ -288,9 +288,16 @@ class TestExitCodes:
             (with_params(BOUNDS, gamma=0.5), "gamma must lie in (0, epsilon/14], got 0.5"),
             (with_params(BOUNDS, epsilons=["a"]), "params.epsilons[0] must be a number, got 'a'"),
             (with_params(BOUNDS, gamma="x"), "params.gamma must be a number, got 'x'"),
+            # a bound that is not finite used to end in ZeroDivisionError or OverflowError, exit 1
+            (with_params(BOUNDS, epsilons=[1e-300]), "the simple_max bound is not finite at n=10, epsilon=1e-300, delta=0.1"),
+            (with_params(BOUNDS, epsilons=[1e-160]), "the simple_max bound is not finite at n=10, epsilon=1e-160, delta=0.1"),
+            (with_params(BOUNDS, delta=1e-320), "the simple_max bound is not finite at n=10, epsilon=0.1, delta=1e-320"),
             ({"command": "estimate-complexity", "mechanism": {"type": "simple_max"},
               "setting": {"generator": "gap", "n": 4, "gap": 0.32}, "params": {"epsilon": 0.3, "delta": 1.0}},
              "delta must lie in (0, 1), got 1.0"),
+            ({"command": "estimate-complexity", "mechanism": {"type": "mw", "eta": 0.05},
+              "setting": {"generator": "gap", "n": 4, "gap": 0.32}, "params": {"epsilon": 0.3, "delta": 1e-320}},
+             "the mw bound is not finite at n=4, epsilon=0.3, delta=1e-320"),
             ({"command": "lower-bound-demo", "params": {"n": 2}}, "the scenario needs n >= 3, got 2"),
             ({"command": "online-regret", "params": {"T": 20, "n": 1}}, "the tuned learning rate needs n >= 2"),
             ({"command": "online-regret", "params": {"T": 20, "n": 3, "strategies": "round_local_best_response"}},
@@ -315,7 +322,8 @@ class TestExitCodes:
              "pull is read only by the extremizer preset, got strategies 'truthful'"),
         ],
         ids=["ns-below-two", "gap-beyond-spread", "inline-belief-above-one", "bounds-delta-one", "bounds-epsilon-one",
-             "bounds-gamma-too-large", "bounds-epsilon-string", "bounds-gamma-string", "complexity-delta-one",
+             "bounds-gamma-too-large", "bounds-epsilon-string", "bounds-gamma-string", "bounds-epsilon-squared-underflows",
+             "bounds-bound-overflows", "bounds-n-over-delta-overflows", "complexity-delta-one", "complexity-bound-overflows",
              "lower-bound-n-two", "online-n-one", "online-round-local-preset", "sweep-n-one", "sweep-m-over-budget",
              "condition-dim-one", "condition-radius-overflow", "round-local-on-elf", "round-local-on-l2", "round-local-eta-too-large",
              "run-pull-without-extremizer", "online-pull-without-extremizer"],

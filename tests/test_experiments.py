@@ -31,6 +31,7 @@ from forecastcomp.experiments import (
 )
 from forecastcomp.mechanisms import Elf, MultWeights, ReportNoisyMax, SimpleMax, elf_point_prob, selection_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
+from reference_helpers import elf_sample_points, to_record
 
 
 class TestSettings:
@@ -153,7 +154,7 @@ class TestSuccessProbability:
         for chunk in (1, experiments.DRAW_CHUNK):
             monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
             draws = experiments._draw_winners(setting.beliefs, setting.theta, mechanism, seeds)
-            records.append([d.to_record() for d in draws])
+            records.append([to_record(d) for d in draws])
         assert len(records[0]) == 40
         assert all(r == records[0] for r in records)
 
@@ -257,6 +258,15 @@ class TestTheoreticalBounds:
             theoretical_bounds("simple_max", 10, 1.5, 0.1)
         with pytest.raises(ValueError):
             theoretical_bounds("unknown", 10, 0.3, 0.1)
+
+    @pytest.mark.parametrize("variant", ["simple_max", "elf", "elf_proof", "mw", "noisy_max"])
+    @pytest.mark.parametrize(
+        "epsilon, delta", [(1e-300, 0.1), (1e-160, 0.1), (0.1, 1e-320)],
+        ids=["epsilon-squared-underflows", "bound-overflows", "n-over-delta-overflows"],
+    )
+    def test_a_bound_that_is_not_finite_is_refused(self, variant, epsilon, delta):
+        with pytest.raises(ValueError, match=f"^the {variant} bound is not finite at n=10, epsilon={epsilon}, delta={delta}$"):
+            theoretical_bounds(variant, 10, epsilon, delta)
 
 
 class TestBallsInBins:
@@ -405,7 +415,7 @@ class TestOnlineRun:
             online_run(
                 rng.random((2, 20)),
                 rng.random(20),
-                [ConsistentBestResponse(max_horizon=5), Truthful()],
+                [ConsistentBestResponse(), Truthful()],
                 OnlinePreference("consistent_uniform"),
                 NEG_ENTROPY,
                 0.05,
@@ -414,7 +424,7 @@ class TestOnlineRun:
 
     @pytest.mark.parametrize("regularizer, T", [(NEG_ENTROPY, 8), (L2, 8), (NEG_ENTROPY, 20)])
     def test_consistent_under_myopic_preference_plays_myopic_reports_exactly(self, regularizer, T):
-        # one round ahead: 2 outcome paths per response, so T = 20 fits the default max_horizon
+        # one round ahead: 2 outcome paths per response, so T = 20 fits MAX_HORIZON
         n = 3
         rng = np.random.default_rng(30)
         beliefs, theta = rng.random((n, T)), rng.random(T)
@@ -606,10 +616,11 @@ class TestMixedPreferenceRounds:
     )
     def test_horizon_refusal_keeps_its_message_beside_a_myopic_group(self, preference):
         rng = np.random.default_rng(48)
-        strategies = [MyopicBestResponse(), ConsistentBestResponse(max_horizon=5), MyopicBestResponse()]
-        message = "consistent best response enumerates 2^9 outcome paths; max_horizon is 5"
+        T = experiments.MAX_HORIZON + 2
+        strategies = [MyopicBestResponse(), ConsistentBestResponse(), MyopicBestResponse()]
+        message = f"consistent best response enumerates 2^{T} outcome paths; max_horizon is {experiments.MAX_HORIZON}"
         with pytest.raises(ValueError) as refused:
-            online_run(rng.random((3, 9)), rng.random(9), strategies, preference, NEG_ENTROPY, 0.05, 49)
+            online_run(rng.random((3, T)), rng.random(T), strategies, preference, NEG_ENTROPY, 0.05, 49)
         assert str(refused.value) == message
 
 
@@ -617,8 +628,6 @@ class TestPointGapProperty:
     def test_expected_point_gap_exceeds_threshold(self):
         # leader vs trailer with accuracy gap 0.36 > eps = 0.3: the mean
         # per-run point gap must clear m * eps / (n - 1) up to噪 MC noise
-        from forecastcomp.mechanisms import elf_sample_points
-
         n, m, eps, trials = 5, 40, 0.3, 1500
         setting = gap_setting(n, m, gap=0.36, seed=36)
         rng = np.random.default_rng(37)

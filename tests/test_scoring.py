@@ -9,39 +9,43 @@ from forecastcomp.scoring import (
     epsilon_optimal_set,
     expected_avg_quadratic_score,
     outcome_variance_constant,
-    quadratic_score,
     score_matrix,
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def _score(q: float, y: int) -> float:
+    """The quadratic score of one report against one outcome."""
+    return float(score_matrix([q], [y])[0])
+
+
 class TestQuadraticScore:
     def test_perfect_report(self):
-        assert quadratic_score(1.0, 1) == 1.0
+        assert _score(1.0, 1) == 1.0
 
     def test_worst_report(self):
-        assert quadratic_score(0.0, 1) == 0.0
+        assert _score(0.0, 1) == 0.0
 
     def test_half_report(self):
-        assert quadratic_score(0.5, 1) == 0.75
+        assert _score(0.5, 1) == 0.75
 
     @pytest.mark.parametrize("q", [-0.1, 1.1, 2.0])
     def test_out_of_domain_report(self, q):
         with pytest.raises(ValueError):
-            quadratic_score(q, 1)
+            _score(q, 1)
 
     def test_bad_outcome(self):
         with pytest.raises(ValueError):
-            quadratic_score(0.5, 2)
+            _score(0.5, 2)
 
     @given(q=probs, y=st.integers(min_value=0, max_value=1))
     def test_bounds(self, q, y):
-        assert 0.0 <= quadratic_score(q, y) <= 1.0
+        assert 0.0 <= _score(q, y) <= 1.0
 
     @given(q1=probs, q2=probs, y=st.integers(min_value=0, max_value=1))
     def test_two_lipschitz(self, q1, q2, y):
-        assert abs(quadratic_score(q1, y) - quadratic_score(q2, y)) <= 2.0 * abs(q1 - q2) + 1e-12
+        assert abs(_score(q1, y) - _score(q2, y)) <= 2.0 * abs(q1 - q2) + 1e-12
 
 
 class TestAccuracy:
@@ -134,7 +138,7 @@ class TestScoreMatrix:
         s = score_matrix(r, y)
         for i in range(4):
             for t in range(6):
-                assert s[i, t] == quadratic_score(r[i, t], int(y[t]))
+                assert s[i, t] == 1.0 - (y[t] - r[i, t]) ** 2
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
