@@ -189,6 +189,12 @@ def _outcome_weights(beliefs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.prod(bits * b + (1.0 - bits) * (1.0 - b), axis=-1)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of ``a`` and ``b`` (leading axes broadcast) in one
+    ``matmul`` call, each with the bits of a 1-D ``np.dot`` on rows of the same strides."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 class _ExactUtility:
     """Expected win probability of agent 0 as a function of their report: a
     float for an (m,) report, a (G,) array for a (G, m) stack of candidates
@@ -196,8 +202,9 @@ class _ExactUtility:
 
     Enumerates all outcome vectors once; the mechanism's utility kernel
     evaluates its law over all of them, and over every candidate, in one call.
-    Each candidate's expectation is its own 1-D ``np.dot``: a matrix-vector
-    product over the stack rounds differently in the last bits.
+    Each candidate's expectation has the bits of its own 1-D ``np.dot``
+    (:func:`_row_dots`) on the kernel's rows as they are strided: a
+    matrix-vector product over the stack rounds differently in the last bits.
     """
 
     def __init__(self, ctx: StrategicContext) -> None:
@@ -212,9 +219,8 @@ class _ExactUtility:
 
     def __call__(self, report) -> float | np.ndarray:
         probs = self.kernel(np.asarray(report, dtype=float))
-        if probs.ndim == 1:
-            return float(np.dot(self.weights, probs))
-        return np.array([np.dot(self.weights, row) for row in probs])
+        values = _row_dots(self.weights, probs)
+        return float(values) if probs.ndim == 1 else values
 
 
 def expected_win_prob(ctx: StrategicContext, candidate) -> float:

@@ -14,6 +14,7 @@ not depend on the chunk size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Sequence
 
@@ -26,13 +27,14 @@ from forecastcomp.agents import (
     Truthful,
     _outcome_table,
     _outcome_weights,
+    _row_dots,
     _Strategy,
     build_reports,
     lockstep_golden_section_max,
 )
 from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed
 from forecastcomp.regularizers import Regularizer, regularizer_by_name
-from forecastcomp.scoring import accuracy, as_probabilities, epsilon_optimal_set
+from forecastcomp.scoring import as_probabilities, epsilon_optimal_set
 
 __all__ = [
     "CompetitionSetting",
@@ -111,7 +113,8 @@ class CompetitionSetting:
         return self.beliefs.shape[1]
 
     def accuracies(self) -> np.ndarray:
-        return np.array([accuracy(row, self.theta) for row in self.beliefs])
+        # scoring.accuracy per row, without validating the rows again
+        return np.array([1.0 - math.fsum(((row - self.theta) ** 2).tolist()) / self.m for row in self.beliefs])
 
     def epsilon_optimal(self, epsilon: float) -> set[int]:
         return epsilon_optimal_set(self.accuracies(), epsilon)
@@ -414,8 +417,8 @@ def theoretical_bounds(
 
     A bound that overflows, or whose denominator underflows to 0, is refused.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not 2 <= n <= sys.float_info.max:
+        raise ValueError(f"n must lie in [2, {sys.float_info.max}] for a float to hold it, got {n}")
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError(f"epsilon and delta must lie in (0, 1), got {epsilon}, {delta}")
     denominator = epsilon**2
@@ -571,16 +574,8 @@ class RegretTrace:
     best_index: int
 
     def recompute_regret(self) -> float:
-        """Re-derive the regret from the stored arrays (accounting audit)."""
-        n, T = self.beliefs.shape
-        best = max(
-            math.fsum(1.0 - (self.outcomes - self.beliefs[i]) ** 2) for i in range(n)
-        )
-        mech = math.fsum(
-            float(np.dot(self.pis[t], 1.0 - (self.outcomes[t] - self.reports[:, t]) ** 2))
-            for t in range(T)
-        )
-        return best - mech
+        """Re-derive the regret from the stored arrays as the run does, by :func:`_regret` (accounting audit)."""
+        return _regret(self.beliefs, self.outcomes, self.reports, self.pis, np.empty(self.pis.shape))[0]
 
     def replay_pi(self, t: int) -> np.ndarray:
         """Recompute pi^t from the stored history before t (causality audit).
@@ -617,7 +612,9 @@ def online_run(
     independent, so each round solves the responders that share a preference
     as one :func:`~forecastcomp.agents.lockstep_golden_section_max` search,
     whose reports equal those of each responder solved alone.  The returned
-    trace carries enough state to replay any pi^t exactly.
+    trace carries enough state to replay any pi^t exactly.  Its regret is
+    :func:`_regret`'s, with the round scores in C-contiguous rows (the per-row
+    ``np.dot`` bits need them) written over the softmax's spent input.
 
     Args:
         beliefs: (n, T) expert belief matrix.
@@ -697,22 +694,19 @@ def online_run(
     np.cumsum(before, axis=0, out=before)
     before *= eta
     pis = regularizer.conjugate_grad(before)
+    return RegretTrace(p, reports, outcomes, pis, eta, regularizer.name, *_regret(p, outcomes, reports, pis, before))
 
-    belief_scores = [math.fsum(1.0 - (outcomes - p[i]) ** 2) for i in range(n)]
-    best_index = int(np.argmax(belief_scores))
-    mech_score = math.fsum(
-        float(np.dot(pis[t], 1.0 - (outcomes[t] - reports[:, t]) ** 2)) for t in range(T)
-    )
-    return RegretTrace(
-        beliefs=p,
-        reports=reports,
-        outcomes=outcomes,
-        pis=pis,
-        eta=eta,
-        regularizer_name=regularizer.name,
-        regret=max(belief_scores) - mech_score,
-        best_index=best_index,
-    )
+
+def _regret(beliefs, outcomes, reports, pis, scores: np.ndarray) -> tuple[float, int]:
+    """A run's regret and best expert, the round scores written into ``scores``, a
+    C-contiguous (T, n) buffer apart from ``pis``: a row's dot with ``pis`` has the bits of
+    ``np.dot`` only on contiguous rows, as strided ones take another BLAS kernel."""
+    np.subtract(outcomes[:, None], reports.T, out=scores)
+    np.subtract(1.0, np.square(scores, out=scores), out=scores)
+    # fsum of a list: the same exact sum, without boxing a numpy row element by element
+    belief_scores = [math.fsum((1.0 - (outcomes - row) ** 2).tolist()) for row in beliefs]
+    best = int(np.argmax(belief_scores))
+    return belief_scores[best] - math.fsum(_row_dots(pis, scores).tolist()), best
 
 
 def mw_tuned_eta(T: int, n: int) -> float:

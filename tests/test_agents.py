@@ -76,6 +76,20 @@ class TestExpectedWinProb:
             expected_win_prob(ctx, rng.random(25))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), rows=st.integers(1, 9), stride=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_row_dots_have_the_bits_of_each_rows_dot(n, rows, stride, seed):
+    # n up to 40 runs past BLAS's unrolled blocks; stride > 1 makes b's rows a
+    # column view's strided rows, as the grid path's law columns are
+    rng = np.random.default_rng(seed)
+    a, w = rng.random((rows, n)), rng.random(n)
+    b = rng.random((rows, n, stride))[..., 0]
+    np.testing.assert_array_equal(agents._row_dots(a, b), [np.dot(a[k], b[k]) for k in range(rows)])
+    np.testing.assert_array_equal(agents._row_dots(w, b), [np.dot(w, row) for row in b])
+    np.testing.assert_array_equal(agents._row_dots(b, w), [np.dot(row, w) for row in b])
+    assert float(agents._row_dots(w, b[0])) == float(np.dot(w, b[0]))
+
+
 class TestLeaveOneOutOptimum:
     def test_equal_continuations_exact(self):
         rng = np.random.default_rng(3)
@@ -384,6 +398,15 @@ class TestGridBestResponse:
             assert not res.certified
             np.testing.assert_array_equal(res.report, oracle.report)
             assert res.expected_utility == oracle.expected_utility
+
+    @pytest.mark.parametrize("mechanism", GRID_MECHANISMS, ids=["elf", "point_per_round", "simple_max"])
+    def test_a_candidate_stack_has_each_candidates_bits(self, mechanism):
+        # 2^6 outcome rows with strided law columns: a matrix-vector product
+        # over the stack sums them in another order
+        rng = np.random.default_rng(14)
+        utility = agents._ExactUtility(StrategicContext(rng.random((2, 6)), rng.random(6), mechanism))
+        stack = rng.random((agents.GRID_POINTS, 6))
+        np.testing.assert_array_equal(utility(stack), [utility(r) for r in stack])
 
     def test_one_law_call_per_line_search(self, monkeypatch):
         # the per-candidate loop made 1,811 law calls on this solve

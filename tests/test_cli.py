@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -292,6 +293,9 @@ class TestExitCodes:
             (with_params(BOUNDS, epsilons=[1e-300]), "the simple_max bound is not finite at n=10, epsilon=1e-300, delta=0.1"),
             (with_params(BOUNDS, epsilons=[1e-160]), "the simple_max bound is not finite at n=10, epsilon=1e-160, delta=0.1"),
             (with_params(BOUNDS, delta=1e-320), "the simple_max bound is not finite at n=10, epsilon=0.1, delta=1e-320"),
+            # an n no float holds used to end in OverflowError at n / delta, exit 1
+            (with_params(BOUNDS, ns=[10**400]),
+             f"n must lie in [2, {sys.float_info.max}] for a float to hold it, got 1000"),
             ({"command": "estimate-complexity", "mechanism": {"type": "simple_max"},
               "setting": {"generator": "gap", "n": 4, "gap": 0.32}, "params": {"epsilon": 0.3, "delta": 1.0}},
              "delta must lie in (0, 1), got 1.0"),
@@ -323,10 +327,10 @@ class TestExitCodes:
         ],
         ids=["ns-below-two", "gap-beyond-spread", "inline-belief-above-one", "bounds-delta-one", "bounds-epsilon-one",
              "bounds-gamma-too-large", "bounds-epsilon-string", "bounds-gamma-string", "bounds-epsilon-squared-underflows",
-             "bounds-bound-overflows", "bounds-n-over-delta-overflows", "complexity-delta-one", "complexity-bound-overflows",
-             "lower-bound-n-two", "online-n-one", "online-round-local-preset", "sweep-n-one", "sweep-m-over-budget",
-             "condition-dim-one", "condition-radius-overflow", "round-local-on-elf", "round-local-on-l2", "round-local-eta-too-large",
-             "run-pull-without-extremizer", "online-pull-without-extremizer"],
+             "bounds-bound-overflows", "bounds-n-over-delta-overflows", "bounds-n-beyond-floats", "complexity-delta-one",
+             "complexity-bound-overflows", "lower-bound-n-two", "online-n-one", "online-round-local-preset", "sweep-n-one",
+             "sweep-m-over-budget", "condition-dim-one", "condition-radius-overflow", "round-local-on-elf", "round-local-on-l2",
+             "round-local-eta-too-large", "run-pull-without-extremizer", "online-pull-without-extremizer"],
     )
     def test_library_preconditions_are_config_errors(self, tmp_path, capsys, data, violation):
         out = tmp_path / "x"

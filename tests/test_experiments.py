@@ -31,6 +31,7 @@ from forecastcomp.experiments import (
 )
 from forecastcomp.mechanisms import Elf, MultWeights, ReportNoisyMax, SimpleMax, elf_point_prob, selection_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
+from forecastcomp.scoring import accuracy
 from reference_helpers import elf_sample_points, to_record
 
 
@@ -75,6 +76,12 @@ class TestSettings:
         assert acc[0] == pytest.approx(1.0, abs=1e-12)
         assert np.min(acc) == pytest.approx(1.0 - 2 * eps, abs=1e-9)
         assert setting.epsilon_optimal(eps) == {0, 1, 2}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_accuracies_are_scoring_accuracy_of_each_row(self, seed):
+        rng = np.random.default_rng(seed)
+        setting = random_setting(int(rng.integers(2, 12)), int(rng.integers(1, 3000)), seed)
+        np.testing.assert_array_equal(setting.accuracies(), [accuracy(row, setting.theta) for row in setting.beliefs])
 
     def test_identical_beliefs_full_tie(self):
         setting = identical_beliefs_setting(4, 7, seed=2)
@@ -547,6 +554,25 @@ def test_online_run_matches_per_round_oracle(n, T, kinds, pull, eta, regularizer
     assert np.array_equal(trace.reports, reports)
     assert np.array_equal(trace.outcomes, outcomes)
     assert trace.regret == regret
+
+
+@pytest.mark.parametrize("regularizer", [NEG_ENTROPY, L2], ids=["entropy", "l2"])
+@pytest.mark.parametrize("n", [17, 33])
+def test_regret_is_the_per_round_dot_loop_at_wide_n(n, regularizer):
+    # n > 16 reaches the vector kernel of BLAS's dot, where a row's strides
+    # change its bits; the oracle test above stops at n = 6.  A last-bit
+    # change in a row shows in the regret of a short run, and rounds away in
+    # the totals of a long one (T = 2,000, the benchmark's online size).
+    for T, seed in [(T, seed) for T in (2, 3, 5) for seed in range(5)] + [(2000, 0)]:
+        rng = np.random.default_rng([n, T, seed])
+        beliefs, theta = rng.random((n, T)), rng.random(T)
+        strategies = [Truthful() if i % 2 else Extremizer(pull=0.5) for i in range(n)]
+        trace = online_run(beliefs, theta, strategies, OnlinePreference("myopic"), regularizer, 0.3, seed=seed)
+        outcomes, reports = trace.outcomes, trace.reports
+        best = max(math.fsum(1.0 - (outcomes - beliefs[i]) ** 2) for i in range(n))
+        mech = math.fsum(float(np.dot(trace.pis[t], 1.0 - (outcomes[t] - reports[:, t]) ** 2)) for t in range(T))
+        assert trace.regret == best - mech, (T, seed)
+        assert trace.recompute_regret() == trace.regret, (T, seed)
 
 
 def solo_responder_reports(beliefs, theta, strategies, preference, regularizer, eta, seed):
