@@ -60,7 +60,6 @@ from forecastcomp.agents import (
     BestResponseResult,
     ClampCheck,
     Extremizer,
-    FixedReport,
     StrategicContext,
     Truthful,
     TruthfulnessGapReport,
@@ -78,7 +77,6 @@ from forecastcomp.experiments import (
     OnlinePreference,
     RegretTrace,
     SuccessEstimate,
-    TrialResult,
     balls_in_bins_max,
     estimate_event_complexity,
     estimate_success_prob,

@@ -37,7 +37,6 @@ from forecastcomp.scoring import as_probabilities
 
 __all__ = [
     "Truthful",
-    "FixedReport",
     "Extremizer",
     "BestResponse",
     "AgentStrategy",
@@ -87,20 +86,6 @@ class Truthful(_Strategy):
 
 
 @dataclass(frozen=True)
-class FixedReport(_Strategy):
-    """Report a fixed vector regardless of beliefs."""
-
-    report: tuple[float, ...]
-
-    def plan(self, beliefs) -> np.ndarray:
-        p = as_probabilities(beliefs, "beliefs")
-        r = as_probabilities(np.asarray(self.report, dtype=float), "fixed report")
-        if r.shape != p.shape:
-            raise ValueError(f"fixed report shape {r.shape} does not match beliefs {p.shape}")
-        return r
-
-
-@dataclass(frozen=True)
 class Extremizer(_Strategy):
     """Pull beliefs toward their nearest extreme: (1-pull)*p + pull*round(p).
 
@@ -120,24 +105,21 @@ class Extremizer(_Strategy):
 
 @dataclass(frozen=True)
 class BestResponse(_Strategy):
-    """Best-respond to the other forecasters' reports.
+    """Best-respond to the other forecasters' reports by
+    :func:`round_local_best_response`, the closed-form per-round optimum
+    against expected continuations; it scales to any m under a regularized
+    leader.  ``'round_local'`` is the one ``mode``."""
 
-    ``mode='exact'`` runs the full solver (needs small m); ``mode='round_local'``
-    uses the closed-form per-round optimum against expected continuations,
-    which scales to any m for regularized-leader mechanisms.
-    """
-
-    mode: str = "exact"
-    starts: int = 5
+    mode: str = "round_local"
 
     responds: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "round_local"):
-            raise ValueError(f"unknown best-response mode {self.mode!r}")
+        if self.mode != "round_local":
+            raise ValueError(f"unknown best-response mode {self.mode!r}: the one mode is 'round_local'")
 
 
-AgentStrategy = Truthful | FixedReport | Extremizer | BestResponse
+AgentStrategy = Truthful | Extremizer | BestResponse
 
 
 def extremize(beliefs, pull: float) -> np.ndarray:
@@ -647,30 +629,24 @@ def strategy_report_row(
     beliefs,
     opponent_reports=None,
     mechanism: MechanismConfig | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
-    """Report row produced by one strategy for one forecaster: its plan, or a
-    best responder's response to ``opponent_reports`` under ``mechanism``."""
+    """Report row produced by one strategy for one forecaster: its plan, or a best
+    responder's round-local response to ``opponent_reports`` under ``mechanism``."""
     if not strategy.responds:
         return strategy.plan(beliefs)
     if not isinstance(strategy, BestResponse):
         raise ValueError(f"competition trials cannot play the responder {strategy}")
     if opponent_reports is None or mechanism is None:
         raise ValueError("best-response strategies need opponent reports and a mechanism")
-    p = as_probabilities(beliefs, "beliefs")
-    if strategy.mode == "round_local":
-        if not isinstance(mechanism, Ftrl):
-            raise ValueError("round_local best response needs a regularized-leader mechanism")
-        return round_local_best_response(p, opponent_reports, mechanism.eta, mechanism.regularizer)
-    ctx = StrategicContext(np.asarray(opponent_reports, dtype=float), p, mechanism)
-    return best_response_full(ctx, starts=strategy.starts, seed=seed).report
+    if not isinstance(mechanism, Ftrl):
+        raise ValueError("round_local best response needs a regularized-leader mechanism")
+    return round_local_best_response(beliefs, opponent_reports, mechanism.eta, mechanism.regularizer)
 
 
 def build_reports(
     strategies,
     beliefs,
     mechanism: MechanismConfig,
-    seed: int = 0,
 ) -> np.ndarray:
     """Assemble the report matrix for a profile of strategies.
 
@@ -688,5 +664,5 @@ def build_reports(
     for i, s in enumerate(strategies):
         if s.responds:
             others = np.delete(reports, i, axis=0)
-            reports[i] = strategy_report_row(s, p[i], others, mechanism, seed=seed + i)
+            reports[i] = strategy_report_row(s, p[i], others, mechanism)
     return reports

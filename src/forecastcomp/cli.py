@@ -277,7 +277,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
     epsilon = float(cfg.params["epsilon"])
     accuracies = setting.accuracies()
     good = setting.epsilon_optimal(epsilon)
-    # Every strategy the CLI offers is deterministic, so one report matrix
+    # Reports are deterministic given the strategies, so one report matrix
     # serves all trials.  Trial k keeps the seed layout of
     # run_competition_trial(seed=derive_seed(seed, 5, k)).
     reports = build_reports(strategies, setting.beliefs, mechanism)

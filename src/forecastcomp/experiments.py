@@ -23,7 +23,6 @@ import numpy as np
 from forecastcomp.agents import (
     AgentStrategy,
     Extremizer,
-    FixedReport,
     Truthful,
     _outcome_table,
     _outcome_weights,
@@ -38,7 +37,6 @@ from forecastcomp.scoring import as_probabilities, epsilon_optimal_set
 
 __all__ = [
     "CompetitionSetting",
-    "TrialResult",
     "SuccessEstimate",
     "ProbeRecord",
     "ComplexityEstimate",
@@ -193,14 +191,6 @@ def identical_beliefs_setting(n: int, m: int, seed: int) -> CompetitionSetting:
 # Competition trials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One competition trial: the sampled winner and its draw."""
-
-    winner: int
-    draw: WinnerDraw
-
-
 def _draw_winners(
     reports: np.ndarray,
     theta: np.ndarray,
@@ -226,11 +216,11 @@ def run_competition_trial(
     strategies: Sequence[AgentStrategy],
     mechanism: MechanismConfig,
     seed: int,
-) -> TrialResult:
-    """Build reports from strategies, sample outcomes, and run the mechanism."""
-    reports = build_reports(strategies, setting.beliefs, mechanism, seed=derive_seed(seed, 0))
+) -> WinnerDraw:
+    """Build reports from strategies, sample outcomes, and run the mechanism; return the draw."""
+    reports = build_reports(strategies, setting.beliefs, mechanism)
     [draw] = _draw_winners(reports, setting.theta, mechanism, [(derive_seed(seed, 1), derive_seed(seed, 2))])
-    return TrialResult(winner=draw.winner, draw=draw)
+    return draw
 
 
 @dataclass(frozen=True)
@@ -242,7 +232,6 @@ class SuccessEstimate:
     rate: float
     lower: float
     upper: float
-    halfwidth: float
 
 
 def estimate_success_prob(
@@ -257,25 +246,24 @@ def estimate_success_prob(
     """Monte Carlo estimate of the probability of selecting an epsilon-optimal
     forecaster.
 
-    Reports are deterministic given strategies, so they are built once and
-    shared across trials; only outcomes and the mechanism's own randomness
-    vary per trial.  Trials run in order on the calling thread; ``threads``
-    is accepted and ignored.
+    Every strategy's reports are deterministic given the beliefs, so they are
+    built once and shared across trials; only outcomes and the mechanism's
+    own randomness vary per trial.  Trials run in order on the calling
+    thread; ``threads`` is accepted and ignored.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    reports = build_reports(strategies, setting.beliefs, mechanism, seed=derive_seed(seed, 0))
+    reports = build_reports(strategies, setting.beliefs, mechanism)
     good = setting.epsilon_optimal(epsilon)
     seeds = [(derive_seed(seed, 1, k), derive_seed(seed, 2, k)) for k in range(trials)]
     successes = sum(draw.winner in good for draw in _draw_winners(reports, setting.theta, mechanism, seeds))
-    lower, upper, half = wilson_interval(successes, trials)
+    lower, upper, _ = wilson_interval(successes, trials)
     return SuccessEstimate(
         successes=successes,
         trials=trials,
         rate=successes / trials,
         lower=lower,
         upper=upper,
-        halfwidth=half,
     )
 
 
@@ -552,7 +540,7 @@ class MyopicBestResponse(ConsistentBestResponse):
     preference: ClassVar[OnlinePreference] = OnlinePreference("myopic")
 
 
-OnlineStrategy = Truthful | FixedReport | Extremizer | ConsistentBestResponse
+OnlineStrategy = Truthful | Extremizer | ConsistentBestResponse
 
 
 @dataclass
@@ -571,11 +559,10 @@ class RegretTrace:
     eta: float
     regularizer_name: str
     regret: float
-    best_index: int
 
     def recompute_regret(self) -> float:
         """Re-derive the regret from the stored arrays as the run does, by :func:`_regret` (accounting audit)."""
-        return _regret(self.beliefs, self.outcomes, self.reports, self.pis, np.empty(self.pis.shape))[0]
+        return _regret(self.beliefs, self.outcomes, self.reports, self.pis, np.empty(self.pis.shape))
 
     def replay_pi(self, t: int) -> np.ndarray:
         """Recompute pi^t from the stored history before t (causality audit).
@@ -694,19 +681,18 @@ def online_run(
     np.cumsum(before, axis=0, out=before)
     before *= eta
     pis = regularizer.conjugate_grad(before)
-    return RegretTrace(p, reports, outcomes, pis, eta, regularizer.name, *_regret(p, outcomes, reports, pis, before))
+    return RegretTrace(p, reports, outcomes, pis, eta, regularizer.name, _regret(p, outcomes, reports, pis, before))
 
 
-def _regret(beliefs, outcomes, reports, pis, scores: np.ndarray) -> tuple[float, int]:
-    """A run's regret and best expert, the round scores written into ``scores``, a
+def _regret(beliefs, outcomes, reports, pis, scores: np.ndarray) -> float:
+    """A run's regret, the round scores written into ``scores``, a
     C-contiguous (T, n) buffer apart from ``pis``: a row's dot with ``pis`` has the bits of
     ``np.dot`` only on contiguous rows, as strided ones take another BLAS kernel."""
     np.subtract(outcomes[:, None], reports.T, out=scores)
     np.subtract(1.0, np.square(scores, out=scores), out=scores)
     # fsum of a list: the same exact sum, without boxing a numpy row element by element
     belief_scores = [math.fsum((1.0 - (outcomes - row) ** 2).tolist()) for row in beliefs]
-    best = int(np.argmax(belief_scores))
-    return belief_scores[best] - math.fsum(_row_dots(pis, scores).tolist()), best
+    return max(belief_scores) - math.fsum(_row_dots(pis, scores).tolist())
 
 
 def mw_tuned_eta(T: int, n: int) -> float:

@@ -9,14 +9,18 @@
   check exact laws against;
 - ``elf_sample_points``: one ELF run's sampled point tallies;
 - ``to_record``: a :class:`WinnerDraw` as a dict of plain values, to compare
-  draws by.
+  draws by;
+- ``FixedReport``: a strategy that reports a fixed vector, to play a known
+  report against.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from forecastcomp.agents import _Strategy
 from forecastcomp.mechanisms import (
     Elf,
     MechanismConfig,
@@ -27,6 +31,7 @@ from forecastcomp.mechanisms import (
     derive_seed,
 )
 from forecastcomp.regularizers import _as_finite_rows, _project_to_simplex
+from forecastcomp.scoring import as_probabilities
 
 FD_STEP = 1e-4  # central-difference step of the finite-difference partials
 
@@ -107,3 +112,17 @@ def to_record(draw: WinnerDraw) -> dict:
         "seed": int(draw.rng_trace.seed),
         "draws": int(draw.rng_trace.draws),
     }
+
+
+@dataclass(frozen=True)
+class FixedReport(_Strategy):
+    """Report a fixed vector regardless of beliefs."""
+
+    report: tuple[float, ...]
+
+    def plan(self, beliefs) -> np.ndarray:
+        p = as_probabilities(beliefs, "beliefs")
+        r = as_probabilities(np.asarray(self.report, dtype=float), "fixed report")
+        if r.shape != p.shape:
+            raise ValueError(f"fixed report shape {r.shape} does not match beliefs {p.shape}")
+        return r

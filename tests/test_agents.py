@@ -10,7 +10,6 @@ from forecastcomp import agents
 from forecastcomp.agents import (
     BestResponse,
     Extremizer,
-    FixedReport,
     StrategicContext,
     Truthful,
     best_response_full,
@@ -30,6 +29,7 @@ from forecastcomp import mechanisms
 from forecastcomp.experiments import MyopicBestResponse
 from forecastcomp.mechanisms import Elf, Ftrl, MultWeights, PointPerRound, ReportNoisyMax, SimpleMax
 from forecastcomp.regularizers import L2, entropy_conjugate_partial2
+from reference_helpers import FixedReport
 
 
 class TestExpectedWinProb:
@@ -582,7 +582,7 @@ class TestStrategies:
         rng = np.random.default_rng(13)
         beliefs = rng.random((3, 4))
         strategies = [Truthful(), Extremizer(pull=0.3), BestResponse(mode="round_local")]
-        reports = build_reports(strategies, beliefs, MultWeights(eta=0.05), seed=0)
+        reports = build_reports(strategies, beliefs, MultWeights(eta=0.05))
         np.testing.assert_array_equal(reports[0], beliefs[0])
         np.testing.assert_allclose(reports[1], extremize(beliefs[1], 0.3))
         assert np.max(np.abs(reports[2] - beliefs[2])) <= 4 * 0.05
@@ -592,9 +592,11 @@ class TestStrategies:
         with pytest.raises(ValueError, match="cannot play the responder MyopicBestResponse"):
             build_reports([MyopicBestResponse()] * 3, beliefs, MultWeights(eta=0.05))
 
-    def test_build_reports_exact_best_response(self):
+    def test_default_best_response_is_round_local(self):
         rng = np.random.default_rng(14)
         beliefs = rng.random((3, 3))
-        strategies = [Truthful(), Truthful(), BestResponse(mode="exact", starts=2)]
-        reports = build_reports(strategies, beliefs, MultWeights(eta=0.05), seed=0)
-        assert np.max(np.abs(reports[2] - beliefs[2])) <= 0.2
+        mech = MultWeights(eta=0.05)
+        reports = build_reports([Truthful(), Truthful(), BestResponse()], beliefs, mech)
+        np.testing.assert_array_equal(reports[2], round_local_best_response(beliefs[2], beliefs[:2], mech.eta))
+        with pytest.raises(ValueError, match="'round_local'"):
+            BestResponse(mode="exact")
