@@ -96,8 +96,7 @@ class Extremizer(_Strategy):
     pull: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.pull <= 1.0:
-            raise ValueError(f"pull must lie in [0, 1], got {self.pull}")
+        _require_pull(self.pull)
 
     def plan(self, beliefs) -> np.ndarray:
         return extremize(beliefs, self.pull)
@@ -122,7 +121,13 @@ class BestResponse(_Strategy):
 AgentStrategy = Truthful | Extremizer | BestResponse
 
 
+def _require_pull(pull: float) -> None:
+    if not 0.0 <= pull <= 1.0:
+        raise ValueError(f"pull must lie in [0, 1], got {pull}")
+
+
 def extremize(beliefs, pull: float) -> np.ndarray:
+    _require_pull(pull)
     p = as_probabilities(beliefs, "beliefs")
     rounded = (p >= 0.5).astype(float)
     return (1.0 - pull) * p + pull * rounded
@@ -197,10 +202,10 @@ class _ExactUtility:
             )
         bits = _outcome_table(ctx.m)
         self.weights = _outcome_weights(ctx.own_beliefs, bits)
-        self.kernel = ctx.mechanism.utility_kernel(ctx.opponent_reports, bits)
+        self.win_probs, self.line = ctx.mechanism.utility_kernel(ctx.opponent_reports, bits)
 
     def __call__(self, report) -> float | np.ndarray:
-        probs = self.kernel(np.asarray(report, dtype=float))
+        probs = self.win_probs(np.asarray(report, dtype=float))
         values = _row_dots(self.weights, probs)
         return float(values) if probs.ndim == 1 else values
 
@@ -228,8 +233,8 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float, xtol: 
     """Golden-section maximization of a unimodal function on [lo, hi]."""
     if not xtol > 0.0:
         raise ValueError(f"xtol must be positive, got {xtol}: the bracket stops shrinking at adjacent doubles")
-    if lo > hi:
-        raise ValueError(f"the bracket needs lo <= hi, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"the bracket needs finite lo <= hi, got [{lo}, {hi}]")
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -262,9 +267,10 @@ def lockstep_golden_section_max(
     if not xtol > 0.0:
         raise ValueError(f"xtol must be positive, got {xtol}: the bracket stops shrinking at adjacent doubles")
     a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if np.any(a > b):
-        g = int(np.argmax(a > b))
-        raise ValueError(f"the bracket needs lo <= hi, got [{a[g]}, {b[g]}] in row {g}")
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a <= b))
+    if np.any(bad):
+        g = int(np.argmax(bad))
+        raise ValueError(f"the bracket needs finite lo <= hi, got [{a.flat[g]}, {b.flat[g]}] in row {g}")
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -428,7 +434,7 @@ def best_response_full(ctx: StrategicContext, starts: int = 5, seed: int = 0) ->
     """
     utility = _ExactUtility(ctx)
     m = ctx.m
-    line = utility.kernel.line
+    line = utility.line
     certified = line is not None
     rng = np.random.default_rng(seed)
     start_points = [ctx.own_beliefs.copy()]

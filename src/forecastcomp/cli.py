@@ -287,7 +287,7 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
     )
     rows = [[k, d.winner, float(accuracies[d.winner]), d.winner in good] for k, d in enumerate(draws)]
     successes = sum(1 for row in rows if row[3])
-    lower, upper, _ = wilson_interval(successes, trials)
+    lower, upper = wilson_interval(successes, trials)
     summary = {
         "command": "run",
         "epsilon": epsilon,

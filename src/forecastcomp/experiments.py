@@ -32,7 +32,7 @@ from forecastcomp.agents import (
     lockstep_golden_section_max,
 )
 from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed
-from forecastcomp.regularizers import Regularizer, regularizer_by_name
+from forecastcomp.regularizers import Regularizer
 from forecastcomp.scoring import as_probabilities, epsilon_optimal_set
 
 __all__ = [
@@ -69,8 +69,8 @@ DRAW_CHUNK = 2**15  # working-array elements of one draw call in the trial engin
 MAX_HORIZON = 12  # most rounds a consistent best response looks ahead: 2^12 outcome paths
 
 
-def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
-    """Wilson 95% score interval: (lower, upper, halfwidth)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval: (lower, upper)."""
     z = WILSON_Z
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -78,7 +78,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     denom = 1.0 + z**2 / trials
     center = (phat + z**2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z**2 / (4.0 * trials**2)) / denom
-    return center - half, center + half, half
+    return center - half, center + half
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def estimate_success_prob(
     good = setting.epsilon_optimal(epsilon)
     seeds = [(derive_seed(seed, 1, k), derive_seed(seed, 2, k)) for k in range(trials)]
     successes = sum(draw.winner in good for draw in _draw_winners(reports, setting.theta, mechanism, seeds))
-    lower, upper, _ = wilson_interval(successes, trials)
+    lower, upper = wilson_interval(successes, trials)
     return SuccessEstimate(
         successes=successes,
         trials=trials,
@@ -557,7 +557,7 @@ class RegretTrace:
     outcomes: np.ndarray
     pis: np.ndarray
     eta: float
-    regularizer_name: str
+    regularizer: Regularizer
     regret: float
 
     def recompute_regret(self) -> float:
@@ -577,7 +577,7 @@ class RegretTrace:
         totals = np.zeros(self.beliefs.shape[0])
         for s in range(t):
             totals += 1.0 - (self.outcomes[s] - self.reports[:, s]) ** 2
-        return regularizer_by_name(self.regularizer_name).conjugate_grad(self.eta * totals)
+        return self.regularizer.conjugate_grad(self.eta * totals)
 
 
 def online_run(
@@ -681,7 +681,7 @@ def online_run(
     np.cumsum(before, axis=0, out=before)
     before *= eta
     pis = regularizer.conjugate_grad(before)
-    return RegretTrace(p, reports, outcomes, pis, eta, regularizer.name, _regret(p, outcomes, reports, pis, before))
+    return RegretTrace(p, reports, outcomes, pis, eta, regularizer, _regret(p, outcomes, reports, pis, before))
 
 
 def _regret(beliefs, outcomes, reports, pis, scores: np.ndarray) -> float:

@@ -17,7 +17,8 @@ Every mechanism is one frozen dataclass with the same interface:
   (n, m) reports against (B, m) outcomes give (B, n); a (G, 1, n, m) stack
   against (B, m) outcomes gives (G, B, n).  Each row is bit for bit the law
   of its report matrix and outcome vector alone, whatever chunks of the
-  batch the family's working size per row, ``law_elements(n, m)``, sets;
+  batch the family's working size per row, ``law_elements(n, m)``, sets
+  (noisy max chunks its own quadrature further, in ``noisy_max_law``);
 - ``sampler(reports)``: for one (n, m) report matrix (every sampling entry
   point refuses a stack of them), with the work that depends only on the
   reports done once, a function giving one sampled :class:`WinnerDraw` per
@@ -25,19 +26,19 @@ Every mechanism is one frozen dataclass with the same interface:
   ``np.random.default_rng(seeds[k])``, so a trial draws the same alone as in
   any stack; ``sample(reports, outcomes, seed)`` is its one-row case, and
   ``trial_elements(n, m)`` the working-array size one trial adds to a stack;
-- ``utility_kernel(opponent_reports, bits)``: row 0's report to P(row 0
-  wins) under each outcome row of ``bits``, column 0 of ``law``: (B,) for an
-  (m,) report.  Simple Max and the lotteries make one ``law`` call on the
-  stacked reports and also take the best-response grid's (G, m) stack of
-  candidates, giving (G, B).  FTRL and noisy
-  max score the opponents once per kernel (negative-entropy FTRL keeps
-  their log-sum-exp and takes a sigmoid) and add ``line(own, t, weights)``:
-  along coordinate t the own total under outcome row y is
-  Q_rest(y) + (1 - v^2) + y_t (2v - 1), so Q_rest is scored once per line
-  and each point v costs one ``totals_law`` call, or one sigmoid, on chunks
-  of rows sized as ``law``'s.  A kernel has a line exactly where the
-  expected win probability is unimodal in each coordinate of one's own
-  report: the best-response solver's certificate;
+- ``utility_kernel(opponent_reports, bits)``: the pair ``(win_probs,
+  line)``.  ``win_probs`` maps row 0's report to P(row 0 wins) under each
+  outcome row of ``bits``, column 0 of ``law``: (B,) for an (m,) report.
+  Simple Max and the lotteries make one ``law`` call on the stacked reports
+  and also take the best-response grid's (G, m) stack of candidates, giving
+  (G, B); their ``line`` is None.  FTRL and noisy max score the opponents
+  once per kernel (negative-entropy FTRL keeps their log-sum-exp and takes a
+  sigmoid) and give ``line(own, t, weights)``: along coordinate t the own
+  total under outcome row y is Q_rest(y) + (1 - v^2) + y_t (2v - 1), so
+  Q_rest is scored once per line and each point v costs one ``totals_law``
+  call, or one sigmoid, over every outcome row.  A kernel has a line exactly
+  where the expected win probability is unimodal in each coordinate of one's
+  own report: the best-response solver's certificate;
 - ``truthfulness_band()``: the approximate-truthfulness radius, or None, and
   notes on its provenance.
 
@@ -108,8 +109,8 @@ __all__ = [
 DISTRIBUTION_TOL = 1e-10
 DEFAULT_ENUMERATION_BUDGET = 2**20  # largest tally-DP operation count an exact point-lottery law runs
 GL_ORDER = 24  # Gauss-Legendre nodes per noisy-max panel between two sorted totals
-# working-array elements per ``_law`` call: ``law`` runs _LAW_ELEMENTS // law_elements(n, m) rows of
-# the broadcast batch at a time
+# working-array elements per chunk of rows: ``law`` runs _LAW_ELEMENTS // law_elements(n, m) rows per
+# ``_law`` call, and ``noisy_max_law`` sizes its quadrature chunks by their nodes, for any caller
 _LAW_ELEMENTS = 2**16
 
 
@@ -291,28 +292,6 @@ def _sample_tallies(
 # The mechanism interface
 # ---------------------------------------------------------------------------
 
-class _UtilityKernel:
-    """P(row 0 wins) under each outcome row of a (B, m) table, with fixed
-    opponents below row 0.  Called on an (m,) own report it gives (B,) win
-    probabilities; the law-based kernels of Simple Max and the lotteries
-    also take a (G, m) stack of them, giving (G, B).  ``line(own, t,
-    weights)`` maps v to the (B,) ``weights``' sum of the win probabilities
-    of ``own`` with own[t] = v, having done once the work that does not
-    depend on v.  Only a mechanism whose expected win probability is
-    unimodal in each coordinate gives a line; it is None for the others.
-    A plain class: a dataclass costs half a millisecond more at every import."""
-
-    def __init__(
-        self,
-        win_probs: Callable[[np.ndarray], np.ndarray],
-        line: Callable[[np.ndarray, int, np.ndarray], Callable[[float], float]] | None = None,
-    ) -> None:
-        self.win_probs, self.line = win_probs, line
-
-    def __call__(self, own: np.ndarray) -> np.ndarray:
-        return self.win_probs(own)
-
-
 class _Mechanism:
     """What every mechanism provides; see the module docstring."""
 
@@ -353,17 +332,18 @@ class _Mechanism:
         """Working-array elements one trial adds to a sampler call: its (n, m) scores."""
         return n * m
 
-    def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> _UtilityKernel:
-        """Own report to P(row 0 wins) under each row of (B, m) ``bits``, the
-        opponents' (n - 1, m) reports below it: (B,) for an (m,) report and
-        (G, B) for a (G, m) stack of candidate reports, one ``law`` call each."""
+    def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> tuple[Callable, Callable | None]:
+        """``(win_probs, None)``: the own report to P(row 0 wins) under each row
+        of (B, m) ``bits``, the opponents' (n - 1, m) reports below it, (B,)
+        for an (m,) report and (G, B) for a (G, m) stack of candidate reports,
+        one ``law`` call each; and no line (see the module docstring)."""
         def win_probs(own: np.ndarray) -> np.ndarray:
             # (..., m) own reports atop the opponents: one (..., 1, n, m) stack against every outcome row
             own = own[..., None, :]
             others = np.broadcast_to(opponent_reports, own.shape[:-2] + opponent_reports.shape)
             return self.law(np.concatenate([own, others], axis=-2)[..., None, :, :], bits)[..., 0]
 
-        return _UtilityKernel(win_probs)
+        return win_probs, None
 
     def truthfulness_band(self) -> tuple[float | None, dict]:
         return None, {}
@@ -385,10 +365,9 @@ class _TotalsMechanism(_Mechanism):
         writes its own totals, Q_rest + (1 - v^2) + y_t (2v - 1), into a
         column it keeps."""
         others = _totals_for_outcomes(opponent_reports, bits)
-        m = bits.shape[1]
 
         def win_probs(own: np.ndarray) -> np.ndarray:
-            return self._first_column(np.column_stack([_totals_for_outcomes(own, bits), others]), m)
+            return self.totals_law(np.column_stack([_totals_for_outcomes(own, bits), others]))[..., 0]
 
         def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
             rest, y = _line_rest(own, bits, t)
@@ -396,22 +375,11 @@ class _TotalsMechanism(_Mechanism):
 
             def at(v: float) -> float:
                 totals[:, 0] = rest + (1.0 - v * v) + y * (2.0 * v - 1.0)
-                return float(np.dot(weights, self._first_column(totals, m)))
+                return float(np.dot(weights, self.totals_law(totals)[..., 0]))
 
             return at
 
-        return _UtilityKernel(win_probs, line)
-
-    def _first_column(self, totals: np.ndarray, m: int) -> np.ndarray:
-        """Column 0 of ``totals_law`` of (..., n) totals over m events, on
-        chunks of rows sized as ``law`` sizes them.  The column is a view of
-        the whole law however it was chunked, so a dot product over it sums
-        in the same order."""
-        flat = totals.reshape(-1, totals.shape[-1])
-        chunks = _row_chunks(len(flat), self.law_elements(totals.shape[-1], m))
-        if len(chunks) <= 1:
-            return self.totals_law(totals)[..., 0]
-        return np.concatenate([self.totals_law(flat[chunk]) for chunk in chunks]).reshape(totals.shape)[..., 0]
+        return win_probs, line
 
     def sampler(self, reports):
         r = _validate_reports(reports)
@@ -699,7 +667,7 @@ class Ftrl(_TotalsMechanism):
 
             return at
 
-        return _UtilityKernel(win_probs, line)
+        return win_probs, line
 
     def truthfulness_band(self):
         declared = self.regularizer.declared
@@ -764,11 +732,6 @@ class ReportNoisyMax(_TotalsMechanism):
     def totals_law(self, totals):
         return noisy_max_law(totals, self.b)
 
-    def law_elements(self, n, m):
-        """A row's (n, m) scores and, per forecaster, its quadrature nodes: one
-        panel per gap between the totals (more when the spread exceeds 4b) and the tails."""
-        return n * (m + GL_ORDER * max(1, n - 1) + 1 + (n + 1) // 2)
-
     def _draw(self, totals, seeds):
         return _noisy_max_draws(totals, self.b, seeds)
 
@@ -813,12 +776,18 @@ def noisy_max_law(totals, b: float) -> np.ndarray:
 
     Over the winner's noisy total x, P(i wins) is the integral of f(x - q_i) prod_{j != i} F(x - q_j),
     f and F the Laplace(0, b) density and CDF: the sum of :func:`_noisy_max_terms` in node order, so
-    each row's law is the same alone or in a stack.
+    each row's law is the same alone or in a stack.  The rows go through the quadrature in chunks
+    of ``_row_chunks``, a row's working elements being n times its nodes: one panel per gap
+    between the totals (more when the spread exceeds 4b) and the tails.
     """
     if not 0.0 < b < math.inf:
         raise ValueError(f"scale b must be finite and positive, got {b}")
     q = np.asarray(totals, dtype=float)
-    law = np.cumsum(_noisy_max_terms(q.reshape(-1, q.shape[-1]), b), axis=-1)[..., -1].T.reshape(q.shape)
+    n, rows = q.shape[-1], q.reshape(-1, q.shape[-1])
+    law = np.concatenate([
+        np.cumsum(_noisy_max_terms(rows[chunk], b), axis=-1)[..., -1].T
+        for chunk in _row_chunks(len(rows), n * (GL_ORDER * max(1, n - 1) + 1 + (n + 1) // 2))
+    ]).reshape(q.shape)
     total = law.sum(axis=-1, keepdims=True)
     if np.any(np.abs(total - 1.0) > 1e-8):
         raise RuntimeError(f"noisy-max quadrature lost mass: sum={total.ravel()[np.argmax(np.abs(total - 1.0))]}")

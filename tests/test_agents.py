@@ -25,7 +25,6 @@ from forecastcomp.agents import (
     strategy_report_row,
     truthfulness_gap_sweep,
 )
-from forecastcomp import mechanisms
 from forecastcomp.experiments import MyopicBestResponse
 from forecastcomp.mechanisms import Elf, Ftrl, MultWeights, PointPerRound, ReportNoisyMax, SimpleMax
 from forecastcomp.regularizers import L2, entropy_conjugate_partial2
@@ -152,6 +151,17 @@ class TestGoldenSection:
             lockstep_golden_section_max(f, np.zeros(2), np.ones(2), xtol=-1e-8)
         with pytest.raises(ValueError, match=r"lo <= hi, got \[1.0, 0.5\] in row 1"):
             lockstep_golden_section_max(f, np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+    def test_refuses_a_bracket_that_is_not_finite(self, lo, hi):
+        # NaN compares False, so a bracket check written as lo > hi lets it through
+        f = lambda x: -((x - 0.3) ** 2)
+        with pytest.raises(ValueError, match=rf"finite lo <= hi, got \[{lo}, {hi}\]$"):
+            golden_section_max(f, lo, hi)
+        with pytest.raises(ValueError, match=rf"finite lo <= hi, got \[{lo}, {hi}\] in row 1"):
+            lockstep_golden_section_max(f, np.array([0.0, lo]), np.array([1.0, hi]))
+        with pytest.raises(ValueError, match=rf"finite lo <= hi, got \[{lo}, {hi}\] in row 0"):
+            lockstep_golden_section_max(f, lo, hi)
 
 
 # Row g of the stacked test function, by kind: a peak at t with slope s, a
@@ -455,7 +465,7 @@ def test_line_equals_the_utility_of_the_full_report(mechanism, data):
     t = data.draw(st.integers(0, m - 1), label="t")
     kept = r.copy()
     utility = agents._ExactUtility(ctx)
-    line = utility.kernel.line(r, t, utility.weights)
+    line = utility.line(r, t, utility.weights)
     for v in (0.0, 1.0, data.draw(st.floats(0.0, 1.0), label="v")):
         moved = kept.copy()
         moved[t] = v
@@ -487,8 +497,8 @@ class TestCoordinateLine:
         kernel_of = type(mechanism).utility_kernel
 
         def counting_kernel(self, opponent_reports, bits):
-            kernel = kernel_of(self, opponent_reports, bits)
-            return mechanisms._UtilityKernel(lambda own: full.append(1) or kernel(own), kernel.line)
+            win_probs, line = kernel_of(self, opponent_reports, bits)
+            return (lambda own: full.append(1) or win_probs(own)), line
 
         monkeypatch.setattr(agents, "golden_section_max", counting_search)
         monkeypatch.setattr(type(mechanism), "utility_kernel", counting_kernel)
@@ -564,6 +574,12 @@ class TestStrategies:
     def test_pull_validation(self):
         with pytest.raises(ValueError):
             Extremizer(pull=1.5)
+
+    @pytest.mark.parametrize("pull", [-0.1, 2.0, math.nan, math.inf])
+    def test_extremize_refuses_a_pull_outside_the_unit_interval(self, pull):
+        # Extremizer's check: a pull of 2 would move 0.3 to -0.3, not a report
+        with pytest.raises(ValueError, match=rf"pull must lie in \[0, 1\], got {pull}"):
+            extremize([0.3, 0.8], pull)
 
     def test_fixed_report_shape_checked(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Harness behavior: settings, trials, complexity search, bounds, online runs."""
 
+import dataclasses
 import math
 import threading
 
@@ -185,9 +186,8 @@ class TestSuccessProbability:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "8"]) == 0
 
     def test_wilson_interval_values(self):
-        lower, upper, half = wilson_interval(90, 100)
+        lower, upper = wilson_interval(90, 100)
         assert 0.82 < lower < 0.9 < upper < 0.96
-        assert half == pytest.approx((upper - lower) / 2)
 
 
 class TestEventComplexity:
@@ -370,9 +370,22 @@ class TestOnlineRun:
         trace = online_run(
             rng.random((n, T)), rng.random(T), [Truthful()] * n, OnlinePreference("myopic"), L2, 0.05, seed=32
         )
-        assert trace.regularizer_name == "l2"
+        assert trace.regularizer is L2
         for t in (0, 20, 39):
             assert np.array_equal(trace.replay_pi(t), trace.pis[t])
+
+    @pytest.mark.parametrize("name", ["tempered", NEG_ENTROPY.name])
+    def test_causality_replay_uses_a_custom_regularizer(self, name):
+        # an unregistered name, and an L2 copy under negative entropy's name:
+        # the replay runs the run's own regularizer, not one looked up by name
+        n, T = 3, 40
+        rng = np.random.default_rng(33)
+        custom = dataclasses.replace(L2, name=name)
+        trace = online_run(
+            rng.random((n, T)), rng.random(T), [Truthful()] * n, OnlinePreference("myopic"), custom, 0.05, seed=34
+        )
+        for t in (0, 3, 20, 39):
+            np.testing.assert_array_equal(trace.replay_pi(t), trace.pis[t])
 
     def test_myopic_best_response_stays_in_band(self):
         n, T = 3, 40

@@ -498,7 +498,7 @@ class TestSelectionLawInvariants:
             opponents, report = rng.random((n - 1, m)), rng.random(m)
             bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
             expected = [config.law(np.vstack([report, opponents]), y)[0] for y in bits]
-            np.testing.assert_allclose(config.utility_kernel(opponents, bits)(report), expected, atol=1e-9)
+            np.testing.assert_allclose(config.utility_kernel(opponents, bits)[0](report), expected, atol=1e-9)
 
     @pytest.mark.parametrize("config", ALL_CONFIGS + [Ftrl(regularizer=L2, eta=0.2)], ids=ALL_IDS + ["ftrl_l2"])
     def test_law_over_a_stack_equals_each_row(self, config):
@@ -523,7 +523,7 @@ class TestSelectionLawInvariants:
         for n, m in [(2, 1), (3, 3), (4, 2)]:
             opponents, candidates = rng.random((n - 1, m)), rng.random((7, m))
             bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
-            kernel = config.utility_kernel(opponents, bits)
+            kernel, _ = config.utility_kernel(opponents, bits)
             stacked = kernel(candidates)
             assert stacked.shape == (7, 2**m)
             for row, candidate in zip(stacked, candidates):
@@ -869,29 +869,52 @@ def test_an_elf_grid_line_search_is_one_tally_dp(monkeypatch):
     monkeypatch.setattr(mechanisms, "_tally_dp_law", counting)
     rng = np.random.default_rng(54)
     bits = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
-    Elf().utility_kernel(rng.random((2, 3)), bits)(rng.random((201, 3)))
+    Elf().utility_kernel(rng.random((2, 3)), bits)[0](rng.random((201, 3)))
     assert calls == [(201, 8, 3, 3)]
 
 
+def _noisy_max_row_elements(n: int) -> int:
+    """The working elements one row of n totals adds to a noisy-max quadrature chunk."""
+    return n * (mechanisms.GL_ORDER * max(1, n - 1) + 1 + (n + 1) // 2)
+
+
 def test_noisy_max_kernel_and_line_keep_their_values_in_small_chunks():
-    # the totals kernel and its line evaluate the law on chunks of rows sized
-    # as law's: 7 rows a call here, against every outcome row at once
+    # noisy_max_law runs the quadrature of the totals kernel and its line on
+    # chunks of rows: 7 rows a call here, against every outcome row at once
     mech, m = ReportNoisyMax(b=5.0), 5
     rng = np.random.default_rng(55)
     bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
     own, weights = rng.random((4, m)), rng.random(2**m)
-    kernel = mech.utility_kernel(rng.random((2, m)), bits)
-    line = kernel.line(own[0], 2, weights)
+    kernel, line_of = mech.utility_kernel(rng.random((2, m)), bits)
+    line = line_of(own[0], 2, weights)
     whole = *map(kernel, own), line(0.3), line(1.0)
-    law = mechanisms.noisy_max_law
-    with mock.patch.object(mechanisms, "_LAW_ELEMENTS", 7 * mech.law_elements(3, m)), \
-            mock.patch.object(mechanisms, "noisy_max_law", side_effect=law) as counted:
+    terms = mechanisms._noisy_max_terms
+    with mock.patch.object(mechanisms, "_LAW_ELEMENTS", 7 * _noisy_max_row_elements(3)), \
+            mock.patch.object(mechanisms, "_noisy_max_terms", side_effect=terms) as counted:
         chunked = *map(kernel, own), line(0.3), line(1.0)
     # six evaluations of 2^m = 32 rows, each in ceil(32 / 7) = 5 calls
     rows = [len(call.args[0]) for call in counted.call_args_list]
     assert max(rows) == 7 and sum(rows) == 6 * 2**m and len(rows) == 6 * 5
     for a, b in zip(whole, chunked):
         np.testing.assert_array_equal(a, b)
+
+
+def test_noisy_max_law_of_a_large_stack_is_each_row_in_bounded_chunks():
+    # 2^12 rows of 3 totals, with exact ties and spreads of many panels, go
+    # through the quadrature in chunks no larger than the row bound
+    rng = np.random.default_rng(56)
+    b = 4.0
+    totals = rng.choice([0.0, 0.5, 3.0, 40.0, 250.0], size=(2**12, 3)) + rng.random((2**12, 1))
+    totals[::5, 1] = totals[::5, 0]
+    totals[::7] = totals[::7, :1]
+    bound = mechanisms._LAW_ELEMENTS // _noisy_max_row_elements(3)
+    terms = mechanisms._noisy_max_terms
+    with mock.patch.object(mechanisms, "_noisy_max_terms", side_effect=terms) as counted:
+        law = noisy_max_law(totals, b)
+    rows = [len(call.args[0]) for call in counted.call_args_list]
+    assert max(rows) <= bound and sum(rows) == len(totals) and len(rows) == -(-len(totals) // bound)
+    for k, row in enumerate(totals):
+        np.testing.assert_array_equal(law[k], noisy_max_law(row, b))
 
 
 @pytest.mark.parametrize("config", STACK_CONFIGS, ids=STACK_IDS)
