@@ -45,6 +45,7 @@ from forecastcomp.experiments import (
     CompetitionSetting,
     MyopicBestResponse,
     OnlinePreference,
+    _derive_seeds,
     _draw_winners,
     derive_seed,
     estimate_event_complexity,
@@ -281,11 +282,9 @@ def _cmd_run(cfg: ExperimentConfig, seed: int, trials: int) -> _Result:
     # serves all trials.  Trial k keeps the seed layout of
     # run_competition_trial(seed=derive_seed(seed, 5, k)).
     reports = build_reports(strategies, setting.beliefs, mechanism)
-    trial_seeds = [derive_seed(seed, 5, k) for k in range(trials)]
-    draws = _draw_winners(
-        reports, setting.theta, mechanism, [(derive_seed(s, 1), derive_seed(s, 2)) for s in trial_seeds]
-    )
-    rows = [[k, d.winner, float(accuracies[d.winner]), d.winner in good] for k, d in enumerate(draws)]
+    seeds = _derive_seeds(_derive_seeds(seed, 5, np.arange(trials))[:, None], [1, 2])
+    winners = _draw_winners(reports, setting.theta, mechanism, seeds).tolist()
+    rows = [[k, w, float(accuracies[w]), w in good] for k, w in enumerate(winners)]
     successes = sum(1 for row in rows if row[3])
     lower, upper = wilson_interval(successes, trials)
     summary = {

@@ -31,7 +31,7 @@ from forecastcomp.agents import (
     build_reports,
     lockstep_golden_section_max,
 )
-from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, derive_seed
+from forecastcomp.mechanisms import MechanismConfig, WinnerDraw, _derive_seeds, _one_draw, _Streams, derive_seed
 from forecastcomp.regularizers import Regularizer
 from forecastcomp.scoring import as_probabilities, epsilon_optimal_set
 
@@ -191,24 +191,22 @@ def identical_beliefs_setting(n: int, m: int, seed: int) -> CompetitionSetting:
 # Competition trials
 # ---------------------------------------------------------------------------
 
-def _draw_winners(
-    reports: np.ndarray,
-    theta: np.ndarray,
-    mechanism: MechanismConfig,
-    seeds: Sequence[tuple[int, int]],
-) -> list[WinnerDraw]:
-    """The trial engine: trial k samples its outcomes from ``theta`` with
-    seed ``seeds[k][0]`` and runs the mechanism on (reports, outcomes) with
-    seed ``seeds[k][1]``, one sampler call per chunk of trials, in order.
+def _draw_winners(reports: np.ndarray, theta: np.ndarray, mechanism: MechanismConfig, seeds) -> np.ndarray:
+    """The trial engine: (B,) winners of the trials of a (B, 2) seed array.
+    Trial k samples its outcomes from ``theta`` with the stream
+    ``np.random.default_rng(seeds[k][0])`` and runs the mechanism on (reports,
+    outcomes) with the stream of ``seeds[k][1]``.  Every stream is seeded in
+    one pass; then one sampler call runs per chunk of trials, in order.
     Results do not depend on the chunk size."""
     rows = max(1, DRAW_CHUNK // mechanism.trial_elements(*reports.shape))
     sampler = mechanism.sampler(reports)
-    draws: list[WinnerDraw] = []
-    for start in range(0, len(seeds), rows):
-        part = seeds[start:start + rows]
-        outcomes = np.array([np.random.default_rng(s).random(theta.size) < theta for s, _ in part], dtype=float)
-        draws += sampler(outcomes, [s for _, s in part])
-    return draws
+    streams = _Streams.of(seeds)
+    winners = np.empty(len(streams), dtype=np.intp)
+    for start in range(0, len(streams), rows):
+        part = slice(start, start + rows)
+        outcomes = (streams[part, 0].uniforms(theta.size) < theta).astype(float)
+        winners[part] = sampler(outcomes, streams[part, 1])[0]
+    return winners
 
 
 def run_competition_trial(
@@ -217,10 +215,14 @@ def run_competition_trial(
     mechanism: MechanismConfig,
     seed: int,
 ) -> WinnerDraw:
-    """Build reports from strategies, sample outcomes, and run the mechanism; return the draw."""
+    """Build reports from strategies, sample outcomes, and run the mechanism;
+    return the draw: one trial of the engine, its seeds ``derive_seed(seed, 1)``
+    and ``derive_seed(seed, 2)``."""
     reports = build_reports(strategies, setting.beliefs, mechanism)
-    [draw] = _draw_winners(reports, setting.theta, mechanism, [(derive_seed(seed, 1), derive_seed(seed, 2))])
-    return draw
+    seeds = derive_seed(seed, 1), derive_seed(seed, 2)
+    streams = _Streams.of([seeds])
+    outcomes = (streams[:, 0].uniforms(setting.m) < setting.theta).astype(float)
+    return _one_draw(mechanism.sampler(reports)(outcomes, streams[:, 1]), seeds[1])
 
 
 @dataclass(frozen=True)
@@ -255,8 +257,9 @@ def estimate_success_prob(
         raise ValueError(f"trials must be >= 1, got {trials}")
     reports = build_reports(strategies, setting.beliefs, mechanism)
     good = setting.epsilon_optimal(epsilon)
-    seeds = [(derive_seed(seed, 1, k), derive_seed(seed, 2, k)) for k in range(trials)]
-    successes = sum(draw.winner in good for draw in _draw_winners(reports, setting.theta, mechanism, seeds))
+    # trial k's seeds derive_seed(seed, 1, k) and derive_seed(seed, 2, k)
+    seeds = _derive_seeds(seed, [1, 2], np.arange(trials)[:, None])
+    successes = int(np.isin(_draw_winners(reports, setting.theta, mechanism, seeds), list(good)).sum())
     lower, upper = wilson_interval(successes, trials)
     return SuccessEstimate(
         successes=successes,

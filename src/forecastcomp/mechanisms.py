@@ -21,10 +21,15 @@ Every mechanism is one frozen dataclass with the same interface:
   (noisy max chunks its own quadrature further, in ``noisy_max_law``);
 - ``sampler(reports)``: for one (n, m) report matrix (every sampling entry
   point refuses a stack of them), with the work that depends only on the
-  reports done once, a function giving one sampled :class:`WinnerDraw` per
-  row of a (B, m) outcome stack, trial k drawing only from
-  ``np.random.default_rng(seeds[k])``, so a trial draws the same alone as in
-  any stack; ``sample(reports, outcomes, seed)`` is its one-row case, and
+  reports done once, a function of a (B, m) outcome stack and the trials'
+  :class:`_Streams`, giving the (B,) sampled winners as one array, with
+  their laws and draw counts.  Trial k draws only from its stream, which is
+  ``np.random.default_rng(seed)`` bit for bit, so a trial draws the same
+  alone as in any stack.  ``_Streams.of(seeds)`` seeds a whole batch in one
+  vectorized pass (SeedSequence's mixing and PCG64's seeding in array
+  arithmetic) and reads each stream through one generator, setting its
+  state.  ``sample(reports, outcomes, seed)`` is the one-row case, as a
+  :class:`WinnerDraw` with its law and :class:`RngTrace`, and
   ``trial_elements(n, m)`` the working-array size one trial adds to a stack;
 - ``utility_kernel(opponent_reports, bits)``: the pair ``(win_probs,
   line)``.  ``win_probs`` maps row 0's report to P(row 0 wins) under each
@@ -73,7 +78,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -119,6 +124,167 @@ def derive_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=master, spawn_key=key).generate_state(1)[0])
 
 
+# ---------------------------------------------------------------------------
+# Seeds and streams of a batch of trials, in one vectorized pass
+# ---------------------------------------------------------------------------
+
+# np.random.SeedSequence's hash constants (O'Neill's seed_seq_fe) and PCG64's LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT_HIGH, _PCG64_MULT_LOW = divmod(0x2360ED051FC65DA44385DF649FCCF645, 2**64)
+_WORD = 0xFFFFFFFF
+
+
+def _derive_seeds(master, *key) -> np.ndarray:
+    """``derive_seed(master, *key)`` over a batch, as uint32: ``master`` and
+    each key an int or an array of nonnegative ints, broadcast together."""
+    return _seed_words(master, key, 1)[..., 0]
+
+
+def _seed_words(master, key: tuple, n_words: int) -> np.ndarray:
+    """(..., n_words) uint32: ``SeedSequence(master, spawn_key=key).generate_state(n_words)``
+    over a broadcast batch.  The entropy of a seed is its words zero-padded to
+    the 4-word pool, then each key's words; rows whose ints have other word
+    counts hash more words, so they go through the mixing as groups."""
+    parts = [_int_words(master, 4)] + [_int_words(k, 1) for k in key]
+    shape = np.broadcast_shapes(*(count.shape for _, count in parts))
+    words = [np.broadcast_to(w.reshape(len(w), *(1,) * (len(shape) - c.ndim), *c.shape), w.shape[:1] + shape)
+             .reshape(len(w), -1) for w, c in parts]
+    counts = np.stack([np.broadcast_to(count, shape).ravel() for _, count in parts])
+    out = np.empty((n_words, counts.shape[1]), np.uint32)
+    layouts = (counts[:, :1] if (counts == counts[:, :1]).all() else np.unique(counts, axis=1)).T
+    for layout in layouts:
+        rows = slice(None) if len(layouts) == 1 else (counts == layout[:, None]).all(axis=0)
+        out[:, rows] = _mix_entropy(np.concatenate([w[:c, rows] for w, c in zip(words, layout)]), n_words)
+    return out.T.reshape(shape + (n_words,))
+
+
+def _int_words(values, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The little-endian uint32 words of nonnegative ints, (W, ...) with zeros
+    past each int's own words, and their counts, (...): one word for 0, and at
+    least ``pad``.  A numpy integer array takes at most two words an entry;
+    Python ints take as many as they need."""
+    a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if a.dtype.kind in "ui":
+        if a.size and a.min() < 0:
+            raise ValueError("expected non-negative integer")
+        a = a.astype(np.uint64)
+        words = np.stack([a & _WORD, a >> 32]).astype(np.uint32)
+        counts = np.where(words[1] > 0, 2, 1)
+    elif a.dtype == object and all(isinstance(x, (int, np.integer)) for x in a.flat):
+        ints = [int(x) for x in a.flat]
+        if any(x < 0 for x in ints):
+            raise ValueError("expected non-negative integer")
+        counts = np.array([max(1, -(-x.bit_length() // 32)) for x in ints], dtype=int).reshape(a.shape)
+        words = np.array([[x >> 32 * i & _WORD for x in ints] for i in range(counts.max(initial=1))], np.uint32)
+        words = words.reshape((len(words),) + a.shape)
+    else:
+        raise TypeError(f"seeds and keys must be integers, got {a.dtype}")
+    if len(words) < pad:
+        words = np.concatenate([words, np.zeros((pad - len(words),) + words.shape[1:], np.uint32)])
+    return words, np.maximum(counts, pad)
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(start: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``count`` successive hashes from ``start``: each xors by
+    h, steps h *= mult, then multiplies by the new h; (count, 1) uint32 each."""
+    h = [start]
+    for _ in range(count):
+        h.append(h[-1] * mult & _WORD)
+    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
+
+
+_SHIFT = np.uint32(16)
+_MIX = np.array([_MIX_L, _MIX_R], np.uint32)
+_MIX_DST = [np.array([dst for dst in range(4) if dst != src]) for src in range(4)] + [np.arange(4)]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = v ^ xor
+    v *= mult
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix_entropy(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """(n_words, B) uint32 ``generate_state(n_words)`` of SeedSequences with
+    the (w, B) entropy words, w >= 4, in uint32 arithmetic.  The hash constant
+    steps once per hash, whatever the data, so the constants are computed
+    ahead; the hashes that read the same pool word run as one array."""
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * (len(entropy) - 4))
+    pool = _hash(entropy[:4], xor[:4], mult[:4])
+    # the pool words mixed with each hash of a word: three words for each pool word, then all four
+    sources = [(_MIX_DST[src], pool[src]) for src in range(4)] + [(_MIX_DST[4], word) for word in entropy[4:]]
+    at = 4
+    for dst, word in sources:
+        r = pool[dst] * _MIX[0]
+        r -= _hash(word, xor[at:at + len(dst)], mult[at:at + len(dst)]) * _MIX[1]
+        r ^= r >> _SHIFT
+        pool[dst] = r
+        at += len(dst)
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, n_words)
+    return _hash(pool[np.arange(n_words) % 4], xor, mult)
+
+
+def _mul64(x: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 words of x * y, for uint64 x and a 64-bit int y, by 32-bit halves."""
+    x0, x1, y0, y1 = x & _WORD, x >> 32, y & _WORD, y >> 32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> 32) + (p01 & _WORD) + (p10 & _WORD)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), mid << 32 | p00 & _WORD
+
+
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2^128, each a (high, low) pair of uint64 words."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """(..., 4) uint64 (state high, low, increment high, low) of ``np.random.PCG64``
+    seeded by each row of (..., 8) uint32 SeedSequence words, read as uint64
+    w0..w3: the increment is 2 (w2:w3) + 1, and the state one LCG step from 0,
+    plus (w0:w1), then one more step, all mod 2^128."""
+    w = np.moveaxis(np.ascontiguousarray(words, "<u4").view("<u8").astype(np.uint64), -1, 0)
+    inc = (w[2] << 1 | w[3] >> 63, w[3] << 1 | 1)
+    high, low = _add128(inc, (w[0], w[1]))
+    product = _mul64(low, _PCG64_MULT_LOW)
+    state = _add128((product[0] + low * _PCG64_MULT_HIGH + high * _PCG64_MULT_LOW, product[1]), inc)
+    return np.stack(state + inc, axis=-1)
+
+
+@dataclass(frozen=True)
+class _Streams:
+    """The streams ``np.random.default_rng(seed)`` of a batch of seeds, bit for
+    bit: their PCG64 states, (..., 4) uint64 from :func:`_pcg64_states`, read
+    through one generator whose state each stream sets in turn."""
+
+    states: np.ndarray
+    generator: np.random.Generator
+
+    @classmethod
+    def of(cls, seeds) -> _Streams:
+        """The streams of an int array, or nested sequence, of seeds, each seeded in one vectorized pass."""
+        return cls(_pcg64_states(_seed_words(seeds, (), 8)), np.random.Generator(np.random.PCG64(0)))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, rows) -> _Streams:
+        return _Streams(self.states[rows], self.generator)
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """(..., k): each stream's first k doubles, as ``random(k)`` draws them."""
+        out = np.empty(self.states.shape[:-1] + (k,))
+        bits, states = self.generator.bit_generator, self.states.reshape(-1, 4)
+        for row, (hi, lo, inc_hi, inc_lo) in zip(out.reshape(len(states), k), states.tolist()):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                          "has_uint32": 0, "uinteger": 0}
+            self.generator.random(k, out=row)
+        return out
+
+
 @dataclass(frozen=True)
 class RngTrace:
     """Seed and draw count of one stochastic selection, for exact replay."""
@@ -149,6 +315,10 @@ class WinnerDraw:
             raise ValueError("distribution must be a point in the simplex")
         if not 0 <= self.winner < dist.size:
             raise ValueError(f"winner index {self.winner} out of range for n={dist.size}")
+
+
+# a sampler's (B,) winners, (B, n) laws they were drawn from (as a WinnerDraw's distribution) and (B,) draw counts
+_Drawn = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +392,17 @@ def _batch_rows(a: np.ndarray, index: tuple[np.ndarray, ...], core: int) -> np.n
     return a[tuple(i if size > 1 else 0 for i, size in zip(index, a.shape))]
 
 
-def _categorical_draw(probs: np.ndarray, u: float) -> int:
-    cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum, u * cum[-1], side="right"), probs.size - 1))
+def _categorical_draws(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row k's draw from (B, n) probabilities by its uniform u[k]: the count of
+    cumulative sums c <= u[k] c[-1], at most n - 1."""
+    cum = np.cumsum(probs, axis=1)
+    return np.minimum(np.sum(cum <= (u * cum[:, -1])[:, None], axis=1), probs.shape[1] - 1)
 
 
 def sample_winner(distribution, seed: int) -> WinnerDraw:
     """Sample a winner from an explicit selection distribution."""
     dist = np.asarray(distribution, dtype=float)
-    rng = np.random.default_rng(seed)
-    winner = _categorical_draw(dist, float(rng.random()))
+    winner = int(_categorical_draws(dist[None], np.random.default_rng(seed).random(1))[0])
     return WinnerDraw(winner=winner, distribution=dist, rng_trace=RngTrace(seed, 1))
 
 
@@ -240,43 +411,46 @@ def _argmax_tie_law(totals: np.ndarray) -> np.ndarray:
     return ties / ties.sum(axis=-1, keepdims=True)
 
 
-def _argmax_draws(
-    values: np.ndarray, seeds: Sequence[int], draws: int, rngs: Sequence[np.random.Generator] | None = None,
-) -> list[WinnerDraw]:
-    """Winner of each row's argmax of (B, n) values with uniform tie-breaking:
-    one more draw on a tie, from the row's generator in ``rngs`` if given."""
-    out = []
-    for k, law in enumerate(_argmax_tie_law(values)):
-        ties = np.flatnonzero(law)
-        if ties.size == 1:
-            out.append(WinnerDraw(int(ties[0]), law, RngTrace(seeds[k], draws)))
-            continue
-        rng = np.random.default_rng(seeds[k]) if rngs is None else rngs[k]
-        winner = int(ties[_categorical_draw(np.ones(ties.size), float(rng.random()))])
-        out.append(WinnerDraw(winner, law, RngTrace(seeds[k], draws + 1)))
-    return out
+def _argmax_draws(values: np.ndarray, draws: int, tie_uniforms: Callable[[np.ndarray], np.ndarray]) -> _Drawn:
+    """Each row's argmax of (B, n) values with uniform tie-breaking: on a tie
+    of t, one more draw, the tied rows' uniforms u from ``tie_uniforms(rows)``,
+    picks the min(floor(u t), t - 1)-th tied entry.  The laws are the uniform
+    laws on the argmax sets."""
+    laws = _argmax_tie_law(values)
+    ties = laws > 0.0
+    count = np.sum(ties, axis=1)
+    winners = np.argmax(ties, axis=1)
+    tied = np.flatnonzero(count > 1)
+    if tied.size:
+        pick = np.minimum(np.floor(tie_uniforms(tied) * count[tied]), count[tied] - 1)
+        winners[tied] = np.argmax(np.cumsum(ties[tied], axis=1) > pick[:, None], axis=1)
+    return winners, laws, draws + (count > 1)
 
 
-def _outcome_stack(outcomes, seeds: Sequence[int], m: int) -> np.ndarray:
-    """Validated (B, m) binary outcomes, one row per seed."""
+def _outcome_stack(outcomes, rows: int, m: int) -> np.ndarray:
+    """Validated (B, m) binary outcomes, one row per stream."""
     y = np.asarray(outcomes, dtype=float)
-    if y.shape != (len(seeds), m):
-        raise ValueError(f"need ({len(seeds)}, {m}) outcomes, one row per seed and a column per event; got {y.shape}")
+    if y.shape != (rows, m):
+        raise ValueError(f"need ({rows}, {m}) outcomes, one row per stream and a column per event; got {y.shape}")
     return as_outcomes(y) if y.size else y
 
 
-def _sample_tallies(
-    tables: tuple[np.ndarray, np.ndarray], outcomes: np.ndarray, rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
+def _one_draw(drawn: _Drawn, seed: int) -> WinnerDraw:
+    """The :class:`WinnerDraw` of a one-row sampler result drawn from ``seed``'s stream."""
+    winners, laws, draws = drawn
+    return WinnerDraw(int(winners[0]), laws[0], RngTrace(seed, int(draws[0])))
+
+
+def _sample_tallies(tables: tuple[np.ndarray, np.ndarray], outcomes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """(B, n) point tallies of (B, m) outcomes over lottery ``tables``.  Event
-    t of row k draws u, the k-th generator's t-th uniform times the total of
-    its cumulative point row c, and its point goes to forecaster
+    t of row k draws u, the (B, m) ``uniforms``' entry (k, t) times the total
+    of its cumulative point row c, and its point goes to forecaster
     min(count(c <= u), n - 1): a binary search, as c is sorted."""
     cum, totals = tables
     _, m, n = cum.shape
     y = outcomes.astype(np.intp)
     t = np.arange(m)
-    u = np.array([rng.random(m) for rng in rngs]) * totals[y, t]
+    u = uniforms * totals[y, t]
     rows, last = cum.ravel(), (y * m + t) * n - 1
     count = np.zeros_like(y)
     step = 1 << (n.bit_length() - 1)
@@ -318,14 +492,14 @@ class _Mechanism:
 
     def sample(self, reports, outcomes, seed: int) -> WinnerDraw:
         """One sampled winner for outcomes (m,): the one-row case of ``sampler``."""
-        return self.sampler(reports)(np.asarray(outcomes, dtype=float)[None], [seed])[0]
+        return _one_draw(self.sampler(reports)(np.asarray(outcomes, dtype=float)[None], _Streams.of([seed])), seed)
 
-    def sampler(self, reports) -> Callable[[np.ndarray, Sequence[int]], list[WinnerDraw]]:
+    def sampler(self, reports) -> Callable[[np.ndarray, _Streams], _Drawn]:
         """One sampled winner per row of a (B, m) outcome stack, as a function
-        of (outcomes, seeds) that has done once the work depending only on
-        the reports.  Trial k's randomness comes from
-        ``np.random.default_rng(seeds[k])`` alone, so it draws the same alone
-        as in any stack."""
+        of (outcomes, streams) that has done once the work depending only on
+        the reports, returning (B,) winners, their (B, n) laws and (B,) draw
+        counts.  Trial k's randomness comes from its stream ``streams[k]``
+        alone, so it draws the same alone as in any stack."""
         raise NotImplementedError
 
     def trial_elements(self, n: int, m: int) -> int:
@@ -383,9 +557,9 @@ class _TotalsMechanism(_Mechanism):
 
     def sampler(self, reports):
         r = _validate_reports(reports)
-        return lambda outcomes, seeds: self._draw(_totals(r, _outcome_stack(outcomes, seeds, r.shape[1])), seeds)
+        return lambda outcomes, streams: self._draw(_totals(r, _outcome_stack(outcomes, len(streams), r.shape[1])), streams)
 
-    def _draw(self, totals: np.ndarray, seeds: Sequence[int]) -> list[WinnerDraw]:
+    def _draw(self, totals: np.ndarray, streams: _Streams) -> _Drawn:
         """One sampled winner per row of (B, n) score totals."""
         raise NotImplementedError
 
@@ -414,14 +588,16 @@ class _PointLottery(_Mechanism):
 
     def sampler(self, reports):
         """One uniform draw per event plus one more on a tie.  Each returned
-        distribution is the tie-break law over the realized point argmax."""
+        law is the tie-break law over the realized point argmax.  A trial
+        reads m + 1 uniforms, the last its tie draw: the bits of ``random(m)``
+        then ``random()``."""
         tables = self._point_tables(reports)
         m = tables[1].shape[1]
 
-        def draw(outcomes, seeds):
-            y = _outcome_stack(outcomes, seeds, m)
-            rngs = [np.random.default_rng(seed) for seed in seeds]
-            return _argmax_draws(_sample_tallies(tables, y, rngs), seeds, m, rngs)
+        def draw(outcomes, streams):
+            y = _outcome_stack(outcomes, len(streams), m)
+            u = streams.uniforms(m + 1)
+            return _argmax_draws(_sample_tallies(tables, y, u[:, :m]), m, lambda rows: u[rows, m])
 
         return draw
 
@@ -454,10 +630,11 @@ class SimpleMax(_TotalsMechanism):
     # the law of the stacked reports: totals by another formula than the law's could split an exact tie
     utility_kernel = _Mechanism.utility_kernel
 
-    def _draw(self, totals, seeds):
-        """Ties are broken uniformly at random; each returned distribution is
-        the exact winner law (point mass, or uniform over the argmax set)."""
-        return _argmax_draws(totals, seeds, 0)
+    def _draw(self, totals, streams):
+        """Ties are broken uniformly at random, by one uniform of a tied row's
+        stream; each returned law is the exact winner law (point mass, or
+        uniform over the argmax set)."""
+        return _argmax_draws(totals, 0, lambda rows: streams[rows].uniforms(1)[:, 0])
 
 
 def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
@@ -642,8 +819,10 @@ class Ftrl(_TotalsMechanism):
     def totals_law(self, totals):
         return self.regularizer.conjugate_grad(self.eta * totals)
 
-    def _draw(self, totals, seeds):
-        return [sample_winner(law, seed) for law, seed in zip(self.totals_law(totals), seeds)]
+    def _draw(self, totals, streams):
+        """One uniform per trial, drawn from its law as :func:`sample_winner` draws."""
+        laws = self.totals_law(totals)
+        return _categorical_draws(laws, streams.uniforms(1)[:, 0]), laws, np.ones(len(laws), dtype=int)
 
     def utility_kernel(self, opponent_reports, bits):
         if self.regularizer is not NEG_ENTROPY:
@@ -732,8 +911,8 @@ class ReportNoisyMax(_TotalsMechanism):
     def totals_law(self, totals):
         return noisy_max_law(totals, self.b)
 
-    def _draw(self, totals, seeds):
-        return _noisy_max_draws(totals, self.b, seeds)
+    def _draw(self, totals, streams):
+        return _noisy_max_draws(totals, self.b, streams.uniforms(totals.shape[1]))
 
     def truthfulness_band(self):
         return 4.0 / self.b, {"b": self.b}
@@ -747,18 +926,17 @@ def report_noisy_max_select(reports, outcomes, b: float, seed: int) -> WinnerDra
     """
     if not 0.0 < b < math.inf:
         raise ValueError(f"scale b must be finite and positive, got {b}")
-    return _noisy_max_draws(score_totals(reports, outcomes)[None], b, [seed])[0]
+    totals = score_totals(reports, outcomes)[None]
+    return _one_draw(_noisy_max_draws(totals, b, _Streams.of([seed]).uniforms(totals.shape[1])), seed)
 
 
-def _noisy_max_draws(totals: np.ndarray, b: float, seeds: Sequence[int]) -> list[WinnerDraw]:
+def _noisy_max_draws(totals: np.ndarray, b: float, uniforms: np.ndarray) -> _Drawn:
     """Argmax of each row of (B, n) totals plus n Laplace(0, b) draws, the
-    row's n uniforms u mapped one at a time by ``laplace_from_uniform(u - 0.5, b)``:
+    row's n ``uniforms`` u mapped one at a time by ``laplace_from_uniform(u - 0.5, b)``:
     np.log1p differs from math.log1p in the last bits."""
-    n = totals.shape[1]
-    noise = [[laplace_from_uniform(u - 0.5, b) for u in np.random.default_rng(seed).random(n).tolist()] for seed in seeds]
-    winners = np.argmax(totals + np.array(noise), axis=1)
-    laws = np.eye(n)[winners]
-    return [WinnerDraw(int(w), law, RngTrace(seed, n)) for w, law, seed in zip(winners, laws, seeds)]
+    noise = np.array([[laplace_from_uniform(u - 0.5, b) for u in row] for row in uniforms.tolist()]).reshape(totals.shape)
+    winners = np.argmax(totals + noise, axis=1)
+    return winners, np.eye(totals.shape[1])[winners], np.full(len(winners), totals.shape[1])
 
 
 @functools.cache
@@ -777,21 +955,33 @@ def noisy_max_law(totals, b: float) -> np.ndarray:
     Over the winner's noisy total x, P(i wins) is the integral of f(x - q_i) prod_{j != i} F(x - q_j),
     f and F the Laplace(0, b) density and CDF: the sum of :func:`_noisy_max_terms` in node order, so
     each row's law is the same alone or in a stack.  The rows go through the quadrature in chunks
-    of ``_row_chunks``, a row's working elements being n times its nodes: one panel per gap
-    between the totals (more when the spread exceeds 4b) and the tails.
+    of consecutive rows whose terms hold at most ``_LAW_ELEMENTS`` elements (one row at least):
+    n times the chunk's nodes per row, its widest row's panels (one per 4b of each gap between
+    the totals) padding the others, and the tails.
     """
     if not 0.0 < b < math.inf:
         raise ValueError(f"scale b must be finite and positive, got {b}")
     q = np.asarray(totals, dtype=float)
     n, rows = q.shape[-1], q.reshape(-1, q.shape[-1])
-    law = np.concatenate([
-        np.cumsum(_noisy_max_terms(rows[chunk], b), axis=-1)[..., -1].T
-        for chunk in _row_chunks(len(rows), n * (GL_ORDER * max(1, n - 1) + 1 + (n + 1) // 2))
-    ]).reshape(q.shape)
+    nodes = GL_ORDER * _gap_panels(np.sort(rows, axis=1), b).sum(axis=1).astype(int) + 1 + (n + 1) // 2
+    law = np.empty(rows.shape)
+    start = 0
+    while start < len(rows):
+        # the terms of rows start..start + k hold (k + 1) n times the most nodes among them
+        widest = np.maximum.accumulate(nodes[start:start + max(1, _LAW_ELEMENTS // (n * nodes[start]))])
+        stop = start + max(1, int(np.sum(n * widest * np.arange(1, len(widest) + 1) <= _LAW_ELEMENTS)))
+        law[start:stop] = np.cumsum(_noisy_max_terms(rows[start:stop], b), axis=-1)[..., -1].T
+        start = stop
+    law = law.reshape(q.shape)
     total = law.sum(axis=-1, keepdims=True)
     if np.any(np.abs(total - 1.0) > 1e-8):
         raise RuntimeError(f"noisy-max quadrature lost mass: sum={total.ravel()[np.argmax(np.abs(total - 1.0))]}")
     return law / total
+
+
+def _gap_panels(s: np.ndarray, b: float) -> np.ndarray:
+    """(B, n - 1) quadrature panels of each gap between (B, n) sorted totals: one per 4b of width, one at least."""
+    return np.maximum(1.0, np.ceil((s[:, 1:] - s[:, :-1]) / (4.0 * b)))
 
 
 def _noisy_max_terms(rows: np.ndarray, b: float) -> np.ndarray:
@@ -814,7 +1004,7 @@ def _noisy_max_terms(rows: np.ndarray, b: float) -> np.ndarray:
     n = rows.shape[1]
     s = np.sort(rows, axis=1)
     width = s[:, 1:] - s[:, :-1]
-    pieces = np.maximum(1.0, np.ceil(width / (4.0 * b)))
+    pieces = _gap_panels(s, b)
     starts = np.cumsum(pieces, axis=1) - pieces
     count = pieces.sum(axis=1, keepdims=True)
     # panel boundary p lies at fraction t of the one gap with t in [0, 1), or at s_max past the last

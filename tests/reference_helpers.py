@@ -7,6 +7,8 @@
   to check closed forms against;
 - ``mc_winner_law``: a mechanism's winner frequencies over its sampler, to
   check exact laws against;
+- ``sampled_draws``: a sampler's rows as :class:`WinnerDraw` values, row k
+  drawn from the stream of ``seeds[k]``;
 - ``elf_sample_points``: one ELF run's sampled point tallies;
 - ``to_record``: a :class:`WinnerDraw` as a dict of plain values, to compare
   draws by;
@@ -24,11 +26,13 @@ from forecastcomp.agents import _Strategy
 from forecastcomp.mechanisms import (
     Elf,
     MechanismConfig,
+    RngTrace,
     WinnerDraw,
+    _derive_seeds,
     _outcome_stack,
     _sample_tallies,
+    _Streams,
     _validate_reports,
-    derive_seed,
 )
 from forecastcomp.regularizers import _as_finite_rows, _project_to_simplex
 from forecastcomp.scoring import as_probabilities
@@ -92,17 +96,25 @@ def mc_winner_law(config: MechanismConfig, reports, outcomes, trials: int, seed:
         raise ValueError(f"trials must be >= 1, got {trials}")
     r = _validate_reports(reports)
     y = np.asarray(outcomes, dtype=float)
-    draws = config.sampler(r)(np.broadcast_to(y, (trials, y.size)), [derive_seed(seed, k) for k in range(trials)])
-    law = np.bincount([d.winner for d in draws], minlength=r.shape[0]) / trials
+    streams = _Streams.of(_derive_seeds(seed, np.arange(trials)))
+    winners = config.sampler(r)(np.broadcast_to(y, (trials, y.size)), streams)[0]
+    law = np.bincount(winners, minlength=r.shape[0]) / trials
     se = float(np.sqrt(np.max(law * (1.0 - law)) / trials))
     return law, se
 
 
+def sampled_draws(config: MechanismConfig, reports, outcomes, seeds) -> list[WinnerDraw]:
+    """The rows of ``config.sampler(reports)`` on (B, m) outcomes, row k drawn from the stream of ``seeds[k]``."""
+    winners, laws, draws = config.sampler(reports)(outcomes, _Streams.of(seeds))
+    return [WinnerDraw(int(w), law, RngTrace(seed, int(d))) for w, law, d, seed in zip(winners, laws, draws, seeds)]
+
+
 def elf_sample_points(reports, outcomes, seed: int) -> np.ndarray:
-    """Sample the per-forecaster point tallies of one ELF run."""
+    """Sample the per-forecaster point tallies of one ELF run, its uniforms those of
+    ``np.random.default_rng(seed)``."""
     tables = Elf()._point_tables(reports)
-    y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], [seed], tables[1].shape[1])
-    return _sample_tallies(tables, y, [np.random.default_rng(seed)])[0]
+    y = _outcome_stack(np.asarray(outcomes, dtype=float)[None], 1, tables[1].shape[1])
+    return _sample_tallies(tables, y, np.random.default_rng(seed).random((1, y.shape[1])))[0]
 
 
 def to_record(draw: WinnerDraw) -> dict:

@@ -33,7 +33,7 @@ from forecastcomp.experiments import (
 from forecastcomp.mechanisms import Elf, MultWeights, ReportNoisyMax, SimpleMax, elf_point_prob, selection_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
 from forecastcomp.scoring import accuracy
-from reference_helpers import FixedReport, elf_sample_points, to_record
+from reference_helpers import FixedReport, elf_sample_points
 
 
 class TestSettings:
@@ -153,18 +153,23 @@ class TestSuccessProbability:
     @pytest.mark.parametrize("mechanism", [SimpleMax(), Elf(), MultWeights(eta=0.3), ReportNoisyMax(b=4.0)],
                              ids=["simple_max", "elf", "mw", "noisy_max"])
     def test_chunk_size_and_threads_do_not_change_draws(self, mechanism, monkeypatch):
-        # one trial per chunk against the default chunk (all 40 trials);
-        # identical beliefs give tied totals and tallies
+        # one trial per chunk against the default chunk (all 40 trials), and
+        # each trial alone: outcomes from default_rng of its first seed, then
+        # the mechanism's sample at its second; identical beliefs give tied
+        # totals and tallies
         tied = isinstance(mechanism, SimpleMax)
         setting = (identical_beliefs_setting if tied else random_setting)(5, 7, seed=40)
         seeds = [(derive_seed(41, 1, k), derive_seed(41, 2, k)) for k in range(40)]
         records = []
         for chunk in (1, experiments.DRAW_CHUNK):
             monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
-            draws = experiments._draw_winners(setting.beliefs, setting.theta, mechanism, seeds)
-            records.append([to_record(d) for d in draws])
+            records.append(experiments._draw_winners(setting.beliefs, setting.theta, mechanism, seeds).tolist())
+        alone = [
+            mechanism.sample(setting.beliefs, np.random.default_rng(s).random(7) < setting.theta, t).winner
+            for s, t in seeds
+        ]
         assert len(records[0]) == 40
-        assert all(r == records[0] for r in records)
+        assert all(r == records[0] for r in records) and records[0] == alone
 
     def test_trials_start_no_thread(self, monkeypatch, tmp_path):
         # many chunks and a large thread count, through the library and the CLI

@@ -37,7 +37,7 @@ from forecastcomp.mechanisms import (
 from forecastcomp import mechanisms
 from forecastcomp.mechanisms import _noisy_max_draws, _tally_dp_law
 from forecastcomp.regularizers import L2, NEG_ENTROPY
-from reference_helpers import elf_sample_points, mc_winner_law, to_record
+from reference_helpers import elf_sample_points, mc_winner_law, sampled_draws, to_record
 
 rng_global = np.random.default_rng(2024)
 
@@ -270,7 +270,7 @@ class TestOneTrialLotterySample:
             reports[rng.random((n, m)) < 0.5] = 0.5
             outcomes = (rng.random((rows, m)) < rng.random()).astype(float)
             seeds = [int(seed) for seed in rng.integers(0, 2**32, rows)]
-            for y, seed, draw in zip(outcomes, seeds, mech.sampler(reports)(outcomes, seeds)):
+            for y, seed, draw in zip(outcomes, seeds, sampled_draws(mech, reports, outcomes, seeds)):
                 assert to_record(mech.sample(reports, y, seed)) == to_record(draw)
 
 
@@ -799,7 +799,7 @@ def test_draw_matches_the_per_trial_oracle(config, data):
     outcomes = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=trials * m, max_size=trials * m)))
     outcomes = outcomes.reshape(trials, m)
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=trials, max_size=trials), label="seeds")
-    drawn = [to_record(d) for d in config.sampler(reports)(outcomes, seeds)]
+    drawn = [to_record(d) for d in sampled_draws(config, reports, outcomes, seeds)]
     assert drawn == [to_record(_oracle_sample(config, reports, y, seed)) for y, seed in zip(outcomes, seeds)]
 
 
@@ -808,8 +808,9 @@ def test_noisy_max_maps_each_uniform_by_the_scalar_laplace_map():
     # exactly 0, so the lowest index wins; noise from a vectorized log1p,
     # off in the last bits, would make other winners
     n, b, seeds = 6, 4.0, list(range(40))
-    totals = np.array([[-laplace_from_uniform(u - 0.5, b) for u in np.random.default_rng(seed).random(n)] for seed in seeds])
-    assert [d.winner for d in _noisy_max_draws(totals, b, seeds)] == [0] * len(seeds)
+    uniforms = np.array([np.random.default_rng(seed).random(n) for seed in seeds])
+    totals = np.array([[-laplace_from_uniform(u - 0.5, b) for u in row] for row in uniforms])
+    assert _noisy_max_draws(totals, b, uniforms)[0].tolist() == [0] * len(seeds)
 
 
 # n reaches 5, so the scaled rule's range is 1/5
@@ -900,21 +901,35 @@ def test_noisy_max_kernel_and_line_keep_their_values_in_small_chunks():
 
 
 def test_noisy_max_law_of_a_large_stack_is_each_row_in_bounded_chunks():
-    # 2^12 rows of 3 totals, with exact ties and spreads of many panels, go
-    # through the quadrature in chunks no larger than the row bound
+    # 2^12 rows of 3 totals, with exact ties and spreads of up to 16 panels a
+    # gap, go through the quadrature in chunks whose terms, padded to their
+    # widest row, hold at most _LAW_ELEMENTS elements
     rng = np.random.default_rng(56)
     b = 4.0
     totals = rng.choice([0.0, 0.5, 3.0, 40.0, 250.0], size=(2**12, 3)) + rng.random((2**12, 1))
     totals[::5, 1] = totals[::5, 0]
     totals[::7] = totals[::7, :1]
-    bound = mechanisms._LAW_ELEMENTS // _noisy_max_row_elements(3)
-    terms = mechanisms._noisy_max_terms
-    with mock.patch.object(mechanisms, "_noisy_max_terms", side_effect=terms) as counted:
+    original, calls = mechanisms._noisy_max_terms, []
+
+    def terms(rows, b):
+        out = original(rows, b)
+        calls.append((len(rows), out.size))
+        return out
+
+    with mock.patch.object(mechanisms, "_noisy_max_terms", terms):
         law = noisy_max_law(totals, b)
-    rows = [len(call.args[0]) for call in counted.call_args_list]
-    assert max(rows) <= bound and sum(rows) == len(totals) and len(rows) == -(-len(totals) // bound)
+    assert max(size for _, size in calls) <= mechanisms._LAW_ELEMENTS and sum(rows for rows, _ in calls) == len(totals)
+    # more chunks than a bound of one panel a gap makes (428 rows a chunk, 10 chunks)
+    assert len(calls) > -(-len(totals) // (mechanisms._LAW_ELEMENTS // _noisy_max_row_elements(3)))
     for k, row in enumerate(totals):
         np.testing.assert_array_equal(law[k], noisy_max_law(row, b))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4), (0, 1)])
+def test_noisy_max_law_of_an_empty_stack_is_empty(shape):
+    # as every other totals law: an empty stack of totals gives an empty stack of laws
+    law = noisy_max_law(np.zeros(shape), 4.0)
+    assert law.shape == shape and law.dtype == float
 
 
 @pytest.mark.parametrize("config", STACK_CONFIGS, ids=STACK_IDS)
