@@ -557,7 +557,11 @@ class _TotalsMechanism(_Mechanism):
 
     def sampler(self, reports):
         r = _validate_reports(reports)
-        return lambda outcomes, streams: self._draw(_totals(r, _outcome_stack(outcomes, len(streams), r.shape[1])), streams)
+
+        def draw(outcomes, streams):
+            return self._draw(_totals(r, _outcome_stack(outcomes, len(streams), r.shape[1])), streams)
+
+        return draw
 
     def _draw(self, totals: np.ndarray, streams: _Streams) -> _Drawn:
         """One sampled winner per row of (B, n) score totals."""
@@ -934,8 +938,8 @@ def _noisy_max_draws(totals: np.ndarray, b: float, uniforms: np.ndarray) -> _Dra
     """Argmax of each row of (B, n) totals plus n Laplace(0, b) draws, the
     row's n ``uniforms`` u mapped one at a time by ``laplace_from_uniform(u - 0.5, b)``:
     np.log1p differs from math.log1p in the last bits."""
-    noise = np.array([[laplace_from_uniform(u - 0.5, b) for u in row] for row in uniforms.tolist()]).reshape(totals.shape)
-    winners = np.argmax(totals + noise, axis=1)
+    noise = np.array([[laplace_from_uniform(u - 0.5, b) for u in row] for row in uniforms.tolist()])
+    winners = np.argmax(totals + noise.reshape(totals.shape), axis=1)
     return winners, np.eye(totals.shape[1])[winners], np.full(len(winners), totals.shape[1])
 
 
@@ -963,20 +967,35 @@ def noisy_max_law(totals, b: float) -> np.ndarray:
         raise ValueError(f"scale b must be finite and positive, got {b}")
     q = np.asarray(totals, dtype=float)
     n, rows = q.shape[-1], q.reshape(-1, q.shape[-1])
-    nodes = GL_ORDER * _gap_panels(np.sort(rows, axis=1), b).sum(axis=1).astype(int) + 1 + (n + 1) // 2
     law = np.empty(rows.shape)
-    start = 0
-    while start < len(rows):
-        # the terms of rows start..start + k hold (k + 1) n times the most nodes among them
-        widest = np.maximum.accumulate(nodes[start:start + max(1, _LAW_ELEMENTS // (n * nodes[start]))])
-        stop = start + max(1, int(np.sum(n * widest * np.arange(1, len(widest) + 1) <= _LAW_ELEMENTS)))
-        law[start:stop] = np.cumsum(_noisy_max_terms(rows[start:stop], b), axis=-1)[..., -1].T
-        start = stop
+    for chunk in _noisy_max_chunks(rows, b):
+        law[chunk] = np.cumsum(_noisy_max_terms(rows[chunk], b), axis=-1)[..., -1].T
     law = law.reshape(q.shape)
     total = law.sum(axis=-1, keepdims=True)
     if np.any(np.abs(total - 1.0) > 1e-8):
         raise RuntimeError(f"noisy-max quadrature lost mass: sum={total.ravel()[np.argmax(np.abs(total - 1.0))]}")
     return law / total
+
+
+def _noisy_max_chunks(rows: np.ndarray, b: float) -> list[slice]:
+    """Consecutive slices of (B, n) totals whose :func:`_noisy_max_terms` hold at most ``_LAW_ELEMENTS``
+    elements (one row at least): n times the slice's rows times the nodes of its widest row."""
+    if not len(rows):
+        return []
+    n = rows.shape[1]
+    tails = 1 + (n + 1) // 2
+    # a row has fewer than n - 1 + spread / 4b panels: a stack that fits by its whole spread is one chunk
+    if n * len(rows) * (GL_ORDER * (n + (rows.max() - rows.min()) / (4.0 * b)) + tails) <= _LAW_ELEMENTS:
+        return [slice(0, len(rows))]
+    nodes = GL_ORDER * _gap_panels(np.sort(rows, axis=1), b).sum(axis=1).astype(int) + tails
+    chunks, start = [], 0
+    while start < len(rows):
+        # the terms of rows start..start + k hold (k + 1) n times the most nodes among them
+        widest = np.maximum.accumulate(nodes[start:start + max(1, _LAW_ELEMENTS // (n * nodes[start]))])
+        stop = start + max(1, int(np.sum(n * widest * np.arange(1, len(widest) + 1) <= _LAW_ELEMENTS)))
+        chunks.append(slice(start, stop))
+        start = stop
+    return chunks
 
 
 def _gap_panels(s: np.ndarray, b: float) -> np.ndarray:

@@ -925,6 +925,30 @@ def test_noisy_max_law_of_a_large_stack_is_each_row_in_bounded_chunks():
         np.testing.assert_array_equal(law[k], noisy_max_law(row, b))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), rows=st.integers(1, 12), spread=st.sampled_from([0.0, 1.0, 30.0, 500.0]),
+       offset=st.sampled_from([0.0, -1e3, 1e6]), b=st.floats(0.25, 50.0), seed=st.integers(0, 2**16))
+def test_noisy_max_chunks_hold_their_bound_alone_or_whole(n, rows, spread, offset, b, seed):
+    # a small element bound, so that some stacks fit whole by their spread and
+    # others are cut row by row; every chunk but a single row stays within it
+    totals = offset + spread * np.random.default_rng(seed).random((rows, n))
+    original, sizes = mechanisms._noisy_max_terms, []
+
+    def terms(chunk, b):
+        out = original(chunk, b)
+        sizes.append((len(chunk), out.size))
+        return out
+
+    bound = 5 * _noisy_max_row_elements(n)
+    with mock.patch.object(mechanisms, "_LAW_ELEMENTS", bound), \
+            mock.patch.object(mechanisms, "_noisy_max_terms", terms):
+        law = noisy_max_law(totals, b)
+    assert all(k == 1 or size <= bound for k, size in sizes)
+    assert sum(k for k, _ in sizes) == rows
+    for k, row in enumerate(totals):
+        np.testing.assert_array_equal(law[k], noisy_max_law(row, b))
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4), (0, 1)])
 def test_noisy_max_law_of_an_empty_stack_is_empty(shape):
     # as every other totals law: an empty stack of totals gives an empty stack of laws
