@@ -164,8 +164,6 @@ class StrategicContext:
 # ---------------------------------------------------------------------------
 
 def _outcome_table(m: int) -> np.ndarray:
-    if m == 0:
-        return np.zeros((1, 0))
     return ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
 
 

@@ -196,9 +196,10 @@ def _draw_winners(reports: np.ndarray, theta: np.ndarray, mechanism: MechanismCo
     Trial k samples its outcomes from ``theta`` with the stream
     ``np.random.default_rng(seeds[k][0])`` and runs the mechanism on (reports,
     outcomes) with the stream of ``seeds[k][1]``.  Every stream is seeded in
-    one pass; then one sampler call runs per chunk of trials, in order.
-    Results do not depend on the chunk size."""
-    rows = max(1, DRAW_CHUNK // mechanism.trial_elements(*reports.shape))
+    one pass; then one sampler call runs per chunk of ``DRAW_CHUNK // (n + m)``
+    trials (a trial holds O(n + m) working elements), in order.  Results do
+    not depend on the chunk size."""
+    rows = max(1, DRAW_CHUNK // sum(reports.shape))
     sampler = mechanism.sampler(reports)
     streams = _Streams.of(seeds)
     winners = np.empty(len(streams), dtype=np.intp)

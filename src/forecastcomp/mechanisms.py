@@ -10,7 +10,7 @@ must pass independent seeds; nothing here touches global RNG state.
 Every mechanism is one frozen dataclass with the same interface:
 
 - ``law(reports, outcomes)``: the exact selection law given (R, y):
-  ``totals_law`` of the (..., n) score totals, or the tally DP over
+  ``totals_law`` of the (..., n) score totals (below), or the tally DP over
   per-event point tables.  It takes an (n, m) report matrix or a (..., n, m)
   stack of them, and (m,) outcomes or a (..., m) stack; the batch axes of
   the two broadcast, as numpy broadcasts, and the result is (batch..., n).
@@ -29,8 +29,7 @@ Every mechanism is one frozen dataclass with the same interface:
   vectorized pass (SeedSequence's mixing and PCG64's seeding in array
   arithmetic) and reads each stream through one generator, setting its
   state.  ``sample(reports, outcomes, seed)`` is the one-row case, as a
-  :class:`WinnerDraw` with its law and :class:`RngTrace`, and
-  ``trial_elements(n, m)`` the working-array size one trial adds to a stack;
+  :class:`WinnerDraw` with its law and :class:`RngTrace`;
 - ``utility_kernel(opponent_reports, bits)``: the pair ``(win_probs,
   line)``.  ``win_probs`` maps row 0's report to P(row 0 wins) under each
   outcome row of ``bits``, column 0 of ``law``: (B,) for an (m,) report.
@@ -38,14 +37,19 @@ Every mechanism is one frozen dataclass with the same interface:
   and also take the best-response grid's (G, m) stack of candidates, giving
   (G, B); their ``line`` is None.  FTRL and noisy max score the opponents
   once per kernel (negative-entropy FTRL keeps their log-sum-exp and takes a
-  sigmoid) and give ``line(own, t, weights)``: along coordinate t the own
-  total under outcome row y is Q_rest(y) + (1 - v^2) + y_t (2v - 1), so
-  Q_rest is scored once per line and each point v costs one ``totals_law``
-  call, or one sigmoid, over every outcome row.  A kernel has a line exactly
+  sigmoid) and give ``line(own, t, weights)``, on which each point v costs
+  one ``totals_law`` call, or one sigmoid, over every outcome row (see
+  :func:`_line_rest`).  A kernel has a line exactly
   where the expected win probability is unimodal in each coordinate of one's
   own report: the best-response solver's certificate;
 - ``truthfulness_band()``: the approximate-truthfulness radius, or None, and
   notes on its provenance.
+
+Every score total has one formula, sum_t S(r_t, y_t) = sum_t (1 - r_t^2) + y . (2r - 1):
+``_score_terms`` makes the pair once per report matrix, kernel or line, and ``_totals`` adds
+y . (2r - 1) by ``np.einsum``, in numpy's own loops and not the BLAS, for ``law``, the samplers,
+``score_totals``, the kernels and their lines.  A row's totals have the same bits alone as in a
+stack, identical forecasters tie exactly, and a trial holds O(n + m) working elements.
 
 Mechanisms:
 
@@ -341,40 +345,47 @@ def _validate_stack(reports) -> np.ndarray:
     return r
 
 
+def _outcomes(r: np.ndarray, outcomes) -> np.ndarray:
+    """(..., m) binary outcomes checked against (..., n, m) reports; with no events there are no values to check."""
+    y = as_outcomes(outcomes) if r.shape[-1] else np.asarray(outcomes, dtype=float)
+    if y.shape[-1:] != r.shape[-1:]:
+        raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
+    return y
+
+
 def _scores(r: np.ndarray, outcomes) -> np.ndarray:
     """(..., n, m) quadratic scores of validated (..., n, m) reports against (..., m) outcomes."""
-    y = as_outcomes(outcomes)
-    if y.shape[-1] != r.shape[-1]:
-        raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
-    s = y[..., None, :] - r
+    s = _outcomes(r, outcomes)[..., None, :] - r
     np.square(s, out=s)
     return np.subtract(1.0, s, out=s)
 
 
 def score_totals(reports, outcomes) -> np.ndarray:
     """Total quadratic score per forecaster, (..., n) for (..., m) outcomes; zeros when m = 0."""
-    return _totals(_validate_reports(reports), outcomes)
+    r = _validate_reports(reports)
+    return _totals(_score_terms(r), _outcomes(r, outcomes))
 
 
-def _totals(r: np.ndarray, outcomes) -> np.ndarray:
-    if r.shape[-1] == 0:
-        return np.zeros(np.broadcast_shapes(np.shape(outcomes)[:-1], r.shape[:-2]) + r.shape[-2:-1])
-    return _scores(r, outcomes).sum(axis=-1)
+def _score_terms(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(base, slope) of (..., n, m) reports: base = sum_t (1 - r_t^2), (..., n), and slope = 2r - 1."""
+    return np.sum(1.0 - r * r, axis=-1), 2.0 * r - 1.0
 
 
-def _totals_for_outcomes(reports: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    # sum_t S(r_t, y_t) = sum_t (1 - r_t^2) + sum_t y_t (2 r_t - 1), for every
-    # outcome row of ``bits`` at once
-    base = np.sum(1.0 - reports**2, axis=-1)
-    return base + bits @ (2.0 * reports - 1.0).T
+def _totals(terms: tuple[np.ndarray, np.ndarray], y: np.ndarray) -> np.ndarray:
+    """(..., n) totals base + y . slope against (..., m) outcomes, batch axes broadcast; zeros when m = 0.
+    A total is one einsum inner loop over the m events, the same in any stack while numpy runs it
+    whole: at any m with one batch axis longer than 1, and up to m = 8,192 (its buffer) with more."""
+    base, slope = terms
+    return base + np.einsum("...m,...nm->...n", y, slope)
 
 
 def _line_rest(own: np.ndarray, bits: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Q_rest and y_t of the line through an (m,) own report along coordinate t:
     under outcome row y of ``bits``, the total at own[t] = v is
-    Q_rest(y) + (1 - v^2) + y_t (2v - 1), Q_rest the sum over the other coordinates."""
-    rest = np.arange(own.size) != t
-    return _totals_for_outcomes(own[rest], bits[:, rest]), bits[:, t]
+    Q_rest(y) + (1 - v^2) + y_t (2v - 1), Q_rest the totals of its terms with coordinate t's set to 0.0."""
+    square, slope = 1.0 - own * own, 2.0 * own - 1.0
+    square[t] = slope[t] = 0.0
+    return _totals((np.sum(square), slope[None]), bits)[:, 0], bits[:, t]
 
 
 def _row_chunks(rows: int, row_elements: int) -> list[slice]:
@@ -487,7 +498,7 @@ class _Mechanism:
         return np.concatenate(laws).reshape(batch + r.shape[-2:-1])
 
     def law_elements(self, n: int, m: int) -> int:
-        """Working-array elements one row of the batch adds to a ``_law`` call: its (n, m) scores."""
+        """Working-array elements one row of the batch adds to a ``_law`` call: its (n, m) report copy."""
         return n * m
 
     def sample(self, reports, outcomes, seed: int) -> WinnerDraw:
@@ -501,10 +512,6 @@ class _Mechanism:
         counts.  Trial k's randomness comes from its stream ``streams[k]``
         alone, so it draws the same alone as in any stack."""
         raise NotImplementedError
-
-    def trial_elements(self, n: int, m: int) -> int:
-        """Working-array elements one trial adds to a sampler call: its (n, m) scores."""
-        return n * m
 
     def utility_kernel(self, opponent_reports: np.ndarray, bits: np.ndarray) -> tuple[Callable, Callable | None]:
         """``(win_probs, None)``: the own report to P(row 0 wins) under each row
@@ -527,21 +534,19 @@ class _TotalsMechanism(_Mechanism):
     """A mechanism whose law depends on the reports only through score totals."""
 
     def _law(self, reports, outcomes):
-        return self.totals_law(_totals(reports, outcomes))
+        return self.totals_law(_totals(_score_terms(reports), _outcomes(reports, outcomes)))
 
     def totals_law(self, totals: np.ndarray) -> np.ndarray:
         """Map (..., n) score totals to (..., n) selection laws."""
         raise NotImplementedError
 
     def utility_kernel(self, opponent_reports, bits):
-        """``totals_law`` of an (m,) own report's totals beside the
-        opponents', which are scored once, under every outcome row.  A line
-        writes its own totals, Q_rest + (1 - v^2) + y_t (2v - 1), into a
-        column it keeps."""
-        others = _totals_for_outcomes(opponent_reports, bits)
+        """``totals_law`` of an (m,) own report's totals beside the opponents', which are scored
+        once, under every outcome row.  A line writes its own totals into a column it keeps."""
+        others = _totals(_score_terms(opponent_reports), bits)
 
         def win_probs(own: np.ndarray) -> np.ndarray:
-            return self.totals_law(np.column_stack([_totals_for_outcomes(own, bits), others]))[..., 0]
+            return self.totals_law(np.concatenate([_totals(_score_terms(own[None]), bits), others], axis=1))[..., 0]
 
         def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
             rest, y = _line_rest(own, bits, t)
@@ -557,9 +562,10 @@ class _TotalsMechanism(_Mechanism):
 
     def sampler(self, reports):
         r = _validate_reports(reports)
+        terms = _score_terms(r)
 
         def draw(outcomes, streams):
-            return self._draw(_totals(r, _outcome_stack(outcomes, len(streams), r.shape[1])), streams)
+            return self._draw(_totals(terms, _outcome_stack(outcomes, len(streams), r.shape[1])), streams)
 
         return draw
 
@@ -585,10 +591,6 @@ class _PointLottery(_Mechanism):
     def law_elements(self, n, m):
         """A row's (m, n) point table and the tally DP's states."""
         return n * m + math.comb(m + n - 1, n - 1)
-
-    def trial_elements(self, n, m):
-        """A trial's m uniforms and search positions and its n tallies."""
-        return m + n
 
     def sampler(self, reports):
         """One uniform draw per event plus one more on a tie.  Each returned
@@ -631,7 +633,7 @@ class SimpleMax(_TotalsMechanism):
     def totals_law(self, totals):
         return _argmax_tie_law(totals)
 
-    # the law of the stacked reports: totals by another formula than the law's could split an exact tie
+    # the law of the stacked reports: the best-response grid passes (G, m) candidate stacks, and no line
     utility_kernel = _Mechanism.utility_kernel
 
     def _draw(self, totals, streams):
@@ -650,20 +652,20 @@ def simple_max_select(reports, outcomes, seed: int) -> WinnerDraw:
 # Event-lottery mechanisms
 # ---------------------------------------------------------------------------
 
-def _require_two_forecasters(r: np.ndarray) -> None:
+def _check_lottery_shape(r: np.ndarray) -> None:
     if r.shape[-2] < 2:
         raise ValueError(f"event lotteries need n >= 2 forecasters, got {r.shape[-2]}")
+    if r.shape[-1] < 1:
+        raise ValueError("event lotteries need m >= 1 events")
 
 
 def _rule_point_probs(g: Callable, r: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(..., m, n) table f_ti = 1/n + g(r_it, y_t) - mean over j != i of
-    g(r_jt, y_t) for (..., n, m) reports and (..., m) outcomes, batch axes
+    g(r_jt, y_t) for (..., n, m) reports and checked (..., m) outcomes, batch axes
     broadcast, with one call of ``g`` on (..., n, m) arrays.  A result outside
     [0, 1] is a hard error carrying the offending entry.
     """
     n, m = r.shape[-2:]
-    if y.shape[-1] != m:
-        raise ValueError(f"shape mismatch: reports {r.shape} vs outcomes {y.shape}")
     shape = np.broadcast_shapes(y.shape[:-1], r.shape[:-2]) + (n, m)
     ys = np.broadcast_to(y[..., None, :], shape)
     gs = np.broadcast_to(g(np.broadcast_to(r, shape), ys), shape)
@@ -686,7 +688,7 @@ class Elf(_PointLottery):
         """Forecaster i receives the point on event t with probability
         1/n + (1/n) * (S(r_it, y_t) - mean of the other forecasters' scores);
         entries lie in [0, 2/n] and each row sums to 1."""
-        _require_two_forecasters(r)
+        _check_lottery_shape(r)
         s = _scores(r, outcomes)
         # in place, to hold two (..., n, m) arrays at a time
         mean_others = s.sum(axis=-2, keepdims=True) - s
@@ -723,11 +725,11 @@ class PointPerRound(_PointLottery):
             )
 
     def _point_probs(self, r, outcomes):
-        _require_two_forecasters(r)
+        _check_lottery_shape(r)
         n = r.shape[-2]
         if self.range_length > 1.0 / n + 1e-12:
             raise ValueError(f"declared range length {self.range_length} exceeds 1/n = {1.0 / n} for n={n}")
-        return _rule_point_probs(self.g, r, as_outcomes(outcomes))
+        return _rule_point_probs(self.g, r, _outcomes(r, outcomes))
 
 
 @functools.lru_cache(maxsize=16)
@@ -832,12 +834,12 @@ class Ftrl(_TotalsMechanism):
         if self.regularizer is not NEG_ENTROPY:
             return super().utility_kernel(opponent_reports, bits)
         # law_0 = sigmoid(eta q_0 - logsumexp(eta q)), the opponents' part once: 3x the law's MW sweep rate
-        eta, z = self.eta, self.eta * _totals_for_outcomes(opponent_reports, bits)
+        eta, z = self.eta, self.eta * _totals(_score_terms(opponent_reports), bits)
         zmax = z.max(axis=1)
         log_a = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
 
         def win_probs(own: np.ndarray) -> np.ndarray:
-            return 1.0 / (1.0 + np.exp(log_a - eta * _totals_for_outcomes(own, bits)))
+            return 1.0 / (1.0 + np.exp(log_a - eta * _totals(_score_terms(own[None]), bits)[:, 0]))
 
         def line(own: np.ndarray, t: int, weights: np.ndarray) -> Callable[[float], float]:
             # one sigmoid per point: L = log_a - eta Q_rest, less eta times the coordinate's own score
@@ -886,9 +888,7 @@ def ftrl_select(reports, outcomes, regularizer: Regularizer, eta: float) -> np.n
 
 def mw_select(reports, outcomes, eta: float) -> np.ndarray:
     """Multiplicative-weights distribution: softmax of eta-scaled totals."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return NEG_ENTROPY.conjugate_grad(eta * score_totals(reports, outcomes))
+    return ftrl_select(reports, outcomes, NEG_ENTROPY, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 - ``l2_conjugate``: the L2 conjugate's value at the simplex projection;
 - ``finite_difference_partials``: central-difference partials of a conjugate,
   to check closed forms against;
+- ``fsum_totals``: each forecaster's total quadratic score, summed with
+  ``math.fsum``, to check the mechanisms' score totals against;
 - ``mc_winner_law``: a mechanism's winner frequencies over its sampler, to
   check exact laws against;
 - ``sampled_draws``: a sampler's rows as :class:`WinnerDraw` values, row k
@@ -88,6 +90,14 @@ def finite_difference_partials(
         ) / (2.0 * h**3)
 
     return partial2, partial3
+
+
+def fsum_totals(reports, outcomes) -> np.ndarray:
+    """(..., n) totals sum_t 1 - (y_t - r_t)^2 of (n, m) reports against (..., m) outcomes, by ``math.fsum``."""
+    r, y = np.asarray(reports, dtype=float), np.asarray(outcomes, dtype=float)
+    rows = y.reshape(math.prod(y.shape[:-1]), r.shape[1])
+    totals = [[math.fsum((1.0 - (row - report) ** 2).tolist()) for report in r] for row in rows]
+    return np.array(totals).reshape(y.shape[:-1] + r.shape[:1])
 
 
 def mc_winner_law(config: MechanismConfig, reports, outcomes, trials: int, seed: int) -> tuple[np.ndarray, float]:

@@ -150,22 +150,25 @@ class TestSuccessProbability:
         b = estimate_success_prob(setting, [Truthful()] * 4, Elf(), 0.2, 100, seed=12, threads=8)
         assert a == b
 
-    @pytest.mark.parametrize("mechanism", [SimpleMax(), Elf(), MultWeights(eta=0.3), ReportNoisyMax(b=4.0)],
-                             ids=["simple_max", "elf", "mw", "noisy_max"])
-    def test_chunk_size_and_threads_do_not_change_draws(self, mechanism, monkeypatch):
-        # one trial per chunk against the default chunk (all 40 trials), and
-        # each trial alone: outcomes from default_rng of its first seed, then
-        # the mechanism's sample at its second; identical beliefs give tied
-        # totals and tallies
+    @pytest.mark.parametrize("mechanism, n, m", [
+        (SimpleMax(), 5, 7), (Elf(), 5, 7), (MultWeights(eta=0.3), 5, 7), (ReportNoisyMax(b=4.0), 5, 7),
+        (MultWeights(eta=0.3), 40, 900),
+    ], ids=["simple_max", "elf", "mw", "noisy_max", "mw_n40_m900"])
+    def test_chunk_size_and_threads_do_not_change_draws(self, mechanism, n, m, monkeypatch):
+        # one trial per chunk against the default chunk (all 40 trials at
+        # n = 5, m = 7; at n = 40, m = 900, where n * m > DRAW_CHUNK, chunks of
+        # 34), and each trial alone: outcomes from default_rng of its first
+        # seed, then the mechanism's sample at its second; identical beliefs
+        # give tied totals and tallies
         tied = isinstance(mechanism, SimpleMax)
-        setting = (identical_beliefs_setting if tied else random_setting)(5, 7, seed=40)
+        setting = (identical_beliefs_setting if tied else random_setting)(n, m, seed=40)
         seeds = [(derive_seed(41, 1, k), derive_seed(41, 2, k)) for k in range(40)]
         records = []
         for chunk in (1, experiments.DRAW_CHUNK):
             monkeypatch.setattr(experiments, "DRAW_CHUNK", chunk)
             records.append(experiments._draw_winners(setting.beliefs, setting.theta, mechanism, seeds).tolist())
         alone = [
-            mechanism.sample(setting.beliefs, np.random.default_rng(s).random(7) < setting.theta, t).winner
+            mechanism.sample(setting.beliefs, np.random.default_rng(s).random(m) < setting.theta, t).winner
             for s, t in seeds
         ]
         assert len(records[0]) == 40

@@ -35,9 +35,10 @@ from forecastcomp.mechanisms import (
     simple_max_select,
 )
 from forecastcomp import mechanisms
-from forecastcomp.mechanisms import _noisy_max_draws, _tally_dp_law
+from forecastcomp.experiments import DRAW_CHUNK
+from forecastcomp.mechanisms import _noisy_max_draws, _score_terms, _tally_dp_law, _totals
 from forecastcomp.regularizers import L2, NEG_ENTROPY
-from reference_helpers import elf_sample_points, mc_winner_law, sampled_draws, to_record
+from reference_helpers import elf_sample_points, fsum_totals, mc_winner_law, sampled_draws, to_record
 
 rng_global = np.random.default_rng(2024)
 
@@ -727,6 +728,59 @@ def test_mw_select_is_the_softmax_it_had(data):
     z = eta * score_totals(reports, y)
     e = np.exp(z - z.max())
     assert np.array_equal(mw_select(reports, y, eta), e / e.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_totals_keep_each_rows_bits_in_any_stack(data):
+    # reports are drawn rows repeated at random, so some forecasters are
+    # identical; outcome stacks reach the trial engine's chunk size, and the
+    # (G, 1, n, m) report stacks stay within _totals' documented m <= 8,192
+    n = data.draw(st.integers(1, 6), label="n")
+    m = data.draw(st.integers(0, 40) | st.sampled_from([64, 255, 1000]), label="m")
+    prob = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    rows = data.draw(st.lists(st.lists(prob, min_size=m, max_size=m), min_size=1, max_size=n), label="rows")
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n), label="picks")
+    reports = np.array(rows).reshape(len(rows), m)[picks]
+    chunk = DRAW_CHUNK // (n + m)
+    b = data.draw(st.sampled_from([1, chunk]) | st.integers(1, chunk), label="B")
+    y = (np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).random((b, m)) < 0.5) * 1.0
+    totals = _totals(_score_terms(reports), y)
+    assert totals.shape == (b, n)
+    if m == 0:
+        assert np.array_equal(totals, np.zeros((b, n)))
+    for k in range(b):
+        assert np.array_equal(totals[k], _totals(_score_terms(reports), y[k]))
+    same = reports[:, None, :] == reports[None, :, :]
+    i, j = np.nonzero(same.all(axis=-1))
+    assert np.array_equal(totals[:, i], totals[:, j])
+    assert np.abs(totals - fsum_totals(reports, y)).max(initial=0.0) <= 1e-12 * max(1, m)
+    # the same matrix among others in a report stack, against the first rows of the outcome stack
+    g = data.draw(st.integers(1, 3), label="G")
+    stack = np.random.default_rng(g).random((g, n, m))
+    stack[data.draw(st.integers(0, g - 1), label="at")] = reports
+    few = y[:8]
+    stacked = _totals(_score_terms(stack[:, None]), few)
+    assert stacked.shape == (g, len(few), n)
+    for h in range(g):
+        assert np.array_equal(stacked[h], _totals(_score_terms(stack[h]), few))
+        for k in range(len(few)):
+            assert np.array_equal(stacked[h, k], _totals(_score_terms(stack[h]), few[k]))
+
+
+def test_totals_past_the_iterator_buffer_keep_each_rows_bits():
+    # at m = 9,000 a (B, m) outcome stack against one report matrix, and law's
+    # rows of a (G, 1, n, m) report stack against a (B, m) outcome stack, are
+    # each the row alone
+    rng = np.random.default_rng(36)
+    reports, y = rng.random((3, 9000)), (rng.random((4, 9000)) < 0.5) * 1.0
+    totals = _totals(_score_terms(reports), y)
+    for k in range(len(y)):
+        assert np.array_equal(totals[k], _totals(_score_terms(reports), y[k]))
+    stack = rng.random((3, 1, 3, 9000))
+    law = MultWeights(eta=0.01).law(stack, y)
+    for h, k in itertools.product(range(3), range(len(y))):
+        assert np.array_equal(law[h, k], MultWeights(eta=0.01).law(stack[h, 0], y[k]))
 
 
 # The per-trial samplers that ``draw`` replaced, kept as its oracle: one
